@@ -7,8 +7,8 @@ simulated fields with the distributional, regularity, local-time, and
 fractal-dimension predictions.
 """
 
-from . import acceptance
-from . import cli
+import importlib
+
 from . import fieldio
 from . import fractional_kernel
 from . import geometry
@@ -30,6 +30,14 @@ from .geometry import (
 from .synthesis import FieldGrid, TruncationDomain, grid_axes, synthesize
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # cli and acceptance load on first use, so that `python -m stablesheet.cli`
+    # does not find its own module already imported by the package
+    if name in ("acceptance", "cli"):
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "FieldGrid",

@@ -32,7 +32,7 @@ _REQUIRED = object()
 def _floats(value) -> list:
     if isinstance(value, str):
         return [float(p) for p in value.split(",") if p != ""]
-    return [float(p) for p in value]
+    return [float(p) for p in np.atleast_1d(value)]
 
 
 def _ints(value) -> list:
@@ -96,8 +96,8 @@ class Options:
         if value is None:
             if default is _REQUIRED:
                 raise ValueError(f"missing required option --{name}")
-            return default
-        return cast(value) if cast is not None else value
+            value = default
+        return cast(value) if cast is not None and value is not None else value
 
 
 def _load_config(args: argparse.Namespace) -> dict:
@@ -151,7 +151,6 @@ def _cmd_synth(opt: Options, argv: list) -> dict:
     bounds = opt.get("bounds", default=((0.1, 1.9), (0.1, 1.9)), cast=_bounds)
     d = opt.get("d", default=1, cast=int)
     count = opt.get("count", default=synthesis.DEFAULT_ATOM_COUNT, cast=int)
-    threads = opt.get("threads", default=1, cast=int)
     out = opt.get("out")
     params = {
         "alpha": alpha, "hurst": hurst, "n": n, "M": M,
@@ -161,7 +160,7 @@ def _cmd_synth(opt: Options, argv: list) -> dict:
     manifest, digest = _start_manifest("synth", argv, [seed], params, [])
     field = synthesis.synthesize(
         hurst, alpha, synthesis.TruncationDomain(n, M), (bounds, shape), seed,
-        d=d, count=count, workers=threads,
+        d=d, count=count,
     )
     fieldio.write_field(field, out, run=digest)
     _finish_manifest(manifest, [out], _manifest_path(opt, out), t0)
@@ -260,7 +259,7 @@ def _cmd_ecf_check(opt: Options, argv: list) -> dict:
     xs = np.empty(samples)
     for r in range(samples):
         atoms = lepage.sample_atoms(
-            derived_seed(seed, "replication", r), count, len(hurst), alpha
+            derived_seed(seed, "replication", r), count, len(hurst)
         )
         xs[r] = lepage.direct_field(atoms, t_arr, hurst, alpha)
     sigma = fractional_kernel.scale_sigma(t_point, None, hurst, alpha)
@@ -437,7 +436,6 @@ def _cmd_scaling_check(opt: Options, argv: list) -> dict:
     M = opt.get("M", default=1.5, cast=float)
     shape = opt.get("shape", default=(128, 128), cast=_shape)
     level = opt.get("level", default=0.0, cast=float)
-    threads = opt.get("threads", default=1, cast=int)
     out = opt.get("out")
     params = {
         "hurst": hurst, "alpha": alpha, "d": d,
@@ -449,7 +447,6 @@ def _cmd_scaling_check(opt: Options, argv: list) -> dict:
     report = geometry.localtime_scaling_check(
         seeds, hurst, alpha, d, region, n_scale,
         synthesis.TruncationDomain(n, M), shape=shape, level=level,
-        workers=threads,
     )
     rows = [["base", i, v] for i, v in enumerate(report.pop("base_values"))]
     rows += [["scaled", i, v] for i, v in enumerate(report.pop("scaled_values"))]
@@ -516,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--manifest", help="run-manifest path")
-        p.add_argument("--threads", type=int, help="worker count (outputs are "
-                       "independent of it)")
+        p.add_argument("--threads", type=int, help="accepted by every "
+                       "subcommand; outputs never depend on it")
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
         return p

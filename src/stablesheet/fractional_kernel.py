@@ -57,7 +57,8 @@ def psi_v_values(
     psi_v(y) = integral of e^{i y eta} psi_hat(eta) |eta|^(-v-1/alpha) d eta,
     reduced to twice the real part of the positive-frequency half. The
     integrand is smooth and compactly supported, so Gauss-Legendre converges
-    spectrally once the oscillation e^{i y eta} is resolved.
+    spectrally once the oscillation e^{i y eta} is resolved. The weights are
+    real, so that real part is a cosine sum (a sine sum for the derivative).
     """
     v, alpha = _check_v_alpha(v, alpha)
     arr = np.asarray(y, dtype=float)
@@ -72,11 +73,11 @@ def psi_v_values(
             amp = amp * eta
         for start in range(0, flat.size, _Y_CHUNK):
             sel = slice(start, start + _Y_CHUNK)
-            osc = np.exp(1j * np.outer(flat[sel] + 0.5, eta))
+            phase = np.outer(flat[sel] + 0.5, eta)
             if derivative:
-                res[sel] += -2.0 * np.imag(osc @ amp)
+                res[sel] += -2.0 * (np.sin(phase) @ amp)
             else:
-                res[sel] += 2.0 * np.real(osc @ amp)
+                res[sel] += 2.0 * (np.cos(phase) @ amp)
     return res.reshape(arr.shape)
 
 

@@ -188,13 +188,11 @@ def holder_axis_exponent(field: object, axis: int) -> float:
         p += 1
     medians, hs = [], []
     for lag in lags:
-        inc = np.diff(vals, n=1, axis=axis)
-        if lag > 1:
-            sl = [slice(None)] * vals.ndim
-            sl[axis] = slice(lag, None)
-            lo = [slice(None)] * vals.ndim
-            lo[axis] = slice(None, -lag)
-            inc = vals[tuple(sl)] - vals[tuple(lo)]
+        sl = [slice(None)] * vals.ndim
+        sl[axis] = slice(lag, None)
+        lo = [slice(None)] * vals.ndim
+        lo[axis] = slice(None, -lag)
+        inc = vals[tuple(sl)] - vals[tuple(lo)]
         med = float(np.median(np.abs(inc)))
         if med > 0.0:
             medians.append(med)
@@ -632,7 +630,6 @@ def localtime_scaling_check(
     trunc: object,
     shape: object = (128, 128),
     level: object = 0.0,
-    workers: int = 1,
 ) -> dict:
     """Two-sample test of the local-time scaling identity under dilations.
 
@@ -674,9 +671,7 @@ def localtime_scaling_check(
         out = np.empty(len(seed_sub))
         grid = (tuple(map(tuple, bounds)), tuple(shape))
         for i, seed in enumerate(seed_sub):
-            f = synthesis.synthesize(
-                H_arr, alpha, trunc, grid, seed, d=d, workers=workers
-            )
+            f = synthesis.synthesize(H_arr, alpha, trunc, grid, seed, d=d)
             sel = f.values
             width = _median_increment(sel[0])
             if width == 0.0:
@@ -724,10 +719,9 @@ def synthesize_ensemble(
     seeds: object,
     d: int = 1,
     count: int = synthesis.DEFAULT_ATOM_COUNT,
-    workers: int = 1,
 ) -> list:
     """Independent field realizations, one per seed, for estimator ensembles."""
     return [
-        synthesis.synthesize(H, alpha, trunc, grid, int(s), d=d, count=count, workers=workers)
+        synthesis.synthesize(H, alpha, trunc, grid, int(s), d=d, count=count)
         for s in seeds
     ]

@@ -192,13 +192,19 @@ def _gaussian_block(seed: int, j1: int, j2: int, k_cap: int) -> np.ndarray:
     return flat[_ring_rank_lattice(k_cap)]
 
 
+def _scaled_axis(atoms: LePageAtoms, axis: int, j: int) -> tuple:
+    # the atoms' frequencies on one axis at scale j, with their envelope values
+    x = np.ldexp(atoms.points[:, axis], -j)
+    return x, np.asarray(envelope(x))
+
+
 def _atom_block(
-    atoms: LePageAtoms, weights: np.ndarray, alpha: float, j1: int, j2: int, ks: np.ndarray
+    atoms: LePageAtoms, weights: np.ndarray, alpha: float, j1: int, j2: int,
+    ks: np.ndarray, axis1: tuple | None = None, axis2: tuple | None = None,
 ) -> np.ndarray:
-    x1 = np.ldexp(atoms.points[:, 0], -j1)
-    x2 = np.ldexp(atoms.points[:, 1], -j2)
-    e1 = np.asarray(envelope(x1))
-    e2 = np.asarray(envelope(x2))
+    # axis1, axis2: _scaled_axis values at j1 and j2, when the caller has them
+    x1, e1 = _scaled_axis(atoms, 0, j1) if axis1 is None else axis1
+    x2, e2 = _scaled_axis(atoms, 1, j2) if axis2 is None else axis2
     mask = (e1 != 0.0) & (e2 != 0.0)
     out = np.zeros((ks.size, ks.size), dtype=complex)
     if not mask.any():
@@ -326,8 +332,17 @@ def coefficient_blocks(
                 yield j1, j2, _gaussian_block(atoms.seed, j1, j2, k_cap)
         return
     weights = atom_weights(atoms, alpha)
+    # pairs come j1-major: keep the current row's axis-0 values and every
+    # axis-1 level seen so far, so each envelope is evaluated once per level
+    row, axis2 = None, {}
     for j1, j2 in occupied_scale_pairs(atoms, n):
-        yield j1, j2, _atom_block(atoms, weights, alpha, j1, j2, ks)
+        if row is None or row[0] != j1:
+            row = (j1, _scaled_axis(atoms, 0, j1))
+        if j2 not in axis2:
+            axis2[j2] = _scaled_axis(atoms, 1, j2)
+        yield j1, j2, _atom_block(
+            atoms, weights, alpha, j1, j2, ks, row[1], axis2[j2]
+        )
 
 
 def _kernel_matrix(ts: np.ndarray, lam: np.ndarray, v: float, alpha: float) -> np.ndarray:

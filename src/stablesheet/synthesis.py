@@ -1,16 +1,20 @@
 """Truncated random wavelet synthesis on rectangular grids.
 
-Fields are assembled scale pair by scale pair: each (j1, j2) block of random
-coefficients is folded against cached per-axis factor matrices, accumulated
-in fixed lexicographic block order with compensated summation, and tiled in
-fixed-size row bands so any worker count reproduces identical bits.
+A field is the fold of the coefficient blocks C_{j1,j2} against per-axis
+factor matrices W_j (rows k, columns grid points, scaled by 2^{-jH}):
+sum over (j1, j2) of W1_{j1}^T Re(C_{j1,j2}) W2_{j2}. The blocks arrive
+j1-major, so each row of scales is first reduced over j2 to
+R = sum_j2 Re(C_{j1,j2}) W2_{j2} and then added once as W1_{j1}^T R. The
+summation order is fixed by the block order, so reruns give the same bits.
+The GEMMs take their threads from BLAS, and a different BLAS thread count can
+change the last bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +23,6 @@ from . import lepage
 from ._rng import component_seed
 from .fractional_kernel import kappa, table_for
 
-_TILE_ROWS = 64
 DEFAULT_ATOM_COUNT = 50_000
 VERSION = "0.1.0"
 
@@ -114,12 +117,12 @@ def _check_hurst(H: object) -> np.ndarray:
     return H_arr
 
 
-def _w_matrix(table, j: int, ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # factor matrix over one axis: rows k, columns grid points; the 2^{-jH}
-    # scale prefactor is applied per block, not here
+def _w_matrix(table, h: float, j: int, ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # scaled factor matrix over one axis: rows k, columns grid points,
+    # 2^{-jh} (psi_v(2^j x - k) - psi_v(-k))
     args = np.ldexp(xs, int(j))[None, :] - ks[:, None]
     base = table.psi(-ks.astype(float))
-    return table.psi(args) - base[:, None]
+    return 2.0 ** (-j * h) * (table.psi(args) - base[:, None])
 
 
 def _accumulate(
@@ -129,50 +132,22 @@ def _accumulate(
     trunc: TruncationDomain,
     axes: tuple,
     mode: str,
-    workers: int,
 ) -> np.ndarray:
     ks = np.arange(-trunc.k_cap, trunc.k_cap + 1)
     tables = [table_for(float(h), float(alpha), trunc.n, trunc.M) for h in H]
-    w_cache: dict = {}
+    w2: dict = {}
 
-    def w_for(axis: int, j: int) -> np.ndarray:
-        key = (axis, j)
-        if key not in w_cache:
-            w_cache[key] = _w_matrix(tables[axis], j, ks, axes[axis])
-        return w_cache[key]
+    def w2_for(j2: int) -> np.ndarray:
+        if j2 not in w2:
+            w2[j2] = _w_matrix(tables[1], H[1], j2, ks, axes[1])
+        return w2[j2]
 
-    m1, m2 = len(axes[0]), len(axes[1])
-    total = np.zeros((m1, m2))
-    comp = np.zeros((m1, m2))
-    tiles = [(t0, min(t0 + _TILE_ROWS, m1)) for t0 in range(0, m1, _TILE_ROWS)]
-
-    def add_tile(bounds_scale) -> None:
-        (t0, t1), scale, w1, block_r = bounds_scale
-        term = scale * (w1[:, t0:t1].T @ block_r)
-        prior = total[t0:t1]
-        summed = prior + term
-        swap = np.abs(prior) >= np.abs(term)
-        comp[t0:t1] += np.where(swap, (prior - summed) + term, (term - summed) + prior)
-        total[t0:t1] = summed
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for j1, j2, block in lepage.coefficient_blocks(
-            atoms, alpha, trunc.n, trunc.M, mode=mode
-        ):
-            scale = 2.0 ** (-(j1 * H[0] + j2 * H[1]))
-            block_r = np.real(block) @ w_for(1, j2)
-            w1 = w_for(0, j1)
-            jobs = [(t, scale, w1, block_r) for t in tiles]
-            if pool is None:
-                for job in jobs:
-                    add_tile(job)
-            else:
-                list(pool.map(add_tile, jobs))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return total + comp
+    total = np.zeros((len(axes[0]), len(axes[1])))
+    blocks = lepage.coefficient_blocks(atoms, alpha, trunc.n, trunc.M, mode=mode)
+    for j1, row in itertools.groupby(blocks, key=lambda b: b[0]):
+        folded = sum(np.real(block) @ w2_for(j2) for _, j2, block in row)
+        total += _w_matrix(tables[0], H[0], j1, ks, axes[0]).T @ folded
+    return total
 
 
 def _validate_grid(axes: tuple, M: float) -> None:
@@ -189,7 +164,6 @@ def synthesize(
     seed: int,
     d: int = 1,
     count: int = DEFAULT_ATOM_COUNT,
-    workers: int = 1,
 ) -> FieldGrid:
     """Sample the truncated wavelet series on a tensor grid.
 
@@ -224,7 +198,7 @@ def synthesize(
     for i in range(int(d)):
         sub_seed = component_seed(seed, i)
         atoms = lepage.sample_atoms(sub_seed, max(atom_count, 1), 2)
-        values[i] = _accumulate(atoms, H_arr, alpha, trunc, axes, "auto", workers)
+        values[i] = _accumulate(atoms, H_arr, alpha, trunc, axes, "auto")
     meta = {
         "H": [float(h) for h in H_arr],
         "alpha": alpha,
@@ -247,7 +221,6 @@ def synthesize_from_atoms(
     alpha: float,
     trunc: TruncationDomain,
     grid: tuple,
-    workers: int = 1,
 ) -> FieldGrid:
     """One-component synthesis from an existing atom pool.
 
@@ -261,7 +234,7 @@ def synthesize_from_atoms(
     H_arr = _check_hurst(H)
     axes = grid_axes(*grid)
     _validate_grid(axes, trunc.M)
-    values = _accumulate(atoms, H_arr, alpha, trunc, axes, "atoms", workers)[None]
+    values = _accumulate(atoms, H_arr, alpha, trunc, axes, "atoms")[None]
     meta = {
         "H": [float(h) for h in H_arr],
         "alpha": alpha,
@@ -285,7 +258,6 @@ def transfer_check(
     n_list: object,
     M: float,
     grid: tuple,
-    workers: int = 1,
 ) -> dict:
     """Relative RMS discrepancy of the truncated series against direct summation.
 
@@ -301,7 +273,7 @@ def transfer_check(
     for n in n_levels:
         trunc = TruncationDomain(n, float(M))
         _validate_grid(axes, trunc.M)
-        series = _accumulate(atoms, H_arr, float(alpha), trunc, axes, "atoms", workers)
+        series = _accumulate(atoms, H_arr, float(alpha), trunc, axes, "atoms")
         residuals[n] = float(np.sqrt(np.mean((series - direct) ** 2)) / denom)
     ordered = [residuals[n] for n in n_levels]
     return {
@@ -348,7 +320,6 @@ def holder_cauchy_report(
     seeds: object,
     M: float = 2.0,
     count: int = 10_000,
-    workers: int = 1,
 ) -> dict:
     """Decay of successive series differences U_{n+1} - U_n in Holder seminorm.
 
@@ -372,14 +343,14 @@ def holder_cauchy_report(
         float(a[1] - a[0]) if len(a) > 1 else 1.0 for a in axes
     )
     pairs = list(zip(levels[:-1], levels[1:]))
-    semi = np.zeros((len(list(seeds)), len(pairs)))
-    sup = np.zeros_like(semi)
     seed_list = [int(s) for s in seeds]
+    semi = np.zeros((len(seed_list), len(pairs)))
+    sup = np.zeros_like(semi)
     for row, seed in enumerate(seed_list):
         atoms = lepage.sample_atoms(seed, count if alpha < 2.0 else 1, 2)
         fields = {
             n: _accumulate(
-                atoms, H_arr, alpha, TruncationDomain(n, float(M)), axes, "auto", workers
+                atoms, H_arr, alpha, TruncationDomain(n, float(M)), axes, "auto"
             )
             for n in levels
         }
@@ -423,8 +394,8 @@ def truncated_point_variance(H: object, trunc: TruncationDomain, t: object) -> d
         table = table_for(float(h), 2.0, trunc.n, trunc.M)
         s = 0.0
         for j in range(-trunc.n, trunc.n + 1):
-            w = _w_matrix(table, j, ks, np.array([x]))[:, 0]
-            s += float(np.sum((2.0 ** (-j * h) * w) ** 2))
+            w = _w_matrix(table, h, j, ks, np.array([x]))[:, 0]
+            s += float(np.sum(w**2))
         axis_sums.append(s)
     variance = 2.0 * float(np.prod(axis_sums))
     target = 2.0 * float(

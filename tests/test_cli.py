@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from stablesheet import cli
 from stablesheet import fieldio
 from stablesheet import lepage
 from stablesheet import synthesis as sy
+from stablesheet._rng import derived_seed
 
 
 def run_cli(argv):
@@ -266,6 +270,21 @@ class TestCliEstimators:
         assert summary["predicted_sum"] == pytest.approx(1.5)
         assert isinstance(summary["passes"], bool)
 
+    def test_localtime_level_defaults_to_zero(self, field_files, tmp_path):
+        common = ["localtime", "--in", ",".join(field_files),
+                  "--corner", "0.1,0.1", "--radii", "0.8,0.4,0.2"]
+        code, _ = run_cli(common + ["--out", str(tmp_path / "default.csv")])
+        assert code == 0
+        code, _ = run_cli(common + ["--level", "0", "--out", str(tmp_path / "zero.csv")])
+        assert code == 0
+
+        def rows(name):  # data columns only: the manifest column names the argv
+            lines = (tmp_path / name).read_text().splitlines()
+            return [line.rsplit(",", 1)[0] for line in lines]
+
+        assert rows("default.csv") == rows("zero.csv")
+        assert len(rows("default.csv")) == 4
+
     def test_levelset_dim(self, field_files, tmp_path):
         out = str(tmp_path / "d.csv")
         code, text = run_cli(
@@ -300,6 +319,19 @@ class TestCliEstimators:
         assert summary["target_variance"] > 0.0
         lines = (tmp_path / "e.csv").read_text().splitlines()
         assert len(lines) == 301
+
+    def test_ecf_check_samples_the_default_density(self, tmp_path):
+        out = str(tmp_path / "e.csv")
+        code, _ = run_cli(
+            ["ecf-check", "--seed", "5", "--alpha", "2", "--hurst", "0.5,0.7",
+             "--t", "1,1", "--samples", "3", "--count", "300", "--out", out]
+        )
+        assert code == 0
+        first = (tmp_path / "e.csv").read_text().splitlines()[1].split(",")
+        atoms = lepage.sample_atoms(derived_seed(5, "replication", 0), 300, 2)
+        expect = lepage.direct_field(atoms, np.array([1.0, 1.0]), [0.5, 0.7], 2.0)
+        assert first[0] == "0"
+        assert float(first[1]) == expect
 
     def test_scaling_check_identity(self, tmp_path):
         out = str(tmp_path / "s.csv")
@@ -379,3 +411,18 @@ class TestCliContract:
     def test_help_exits_zero(self):
         code, _ = run_cli(["--help"])
         assert code == 0
+
+    def test_module_entry_point_starts_without_warnings(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "stablesheet.cli", "formula",
+             "--hurst", "0.4,0.6", "--d", "1", "--dimF", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["value"] == 1.6
