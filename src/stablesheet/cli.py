@@ -6,6 +6,10 @@ references. All randomness flows from a single ``--seed``; replication and
 component streams are derived through the labeled hash scheme in ``_rng``.
 Exit status: 0 on success, 2 on validation failure (bad flags, unreadable or
 malformed inputs, out-of-domain parameters), 1 on internal error.
+
+Each subcommand is declared once, in ``_SUBCOMMANDS``: its handler and its
+flags. The parser and the value lookup both read that table, and ``_run``
+does the timing and the manifest for every handler.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import json
 import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,12 +54,7 @@ def _shape(value) -> tuple:
 
 def _bounds(value) -> tuple:
     if isinstance(value, str):
-        axes = value.lower().split("x")
-        parsed = []
-        for ax in axes:
-            lo, hi = (float(p) for p in ax.split(","))
-            parsed.append((lo, hi))
-        return tuple(parsed)
+        value = [ax.split(",") for ax in value.lower().split("x")]
     return tuple((float(lo), float(hi)) for lo, hi in value)
 
 
@@ -62,6 +62,10 @@ def _paths(value) -> list:
     if isinstance(value, str):
         return [p for p in value.split(",") if p]
     return list(value)
+
+
+def _checks(value):
+    return "all" if value == "all" else _ints(value)
 
 
 def _clean(obj):
@@ -82,26 +86,38 @@ def _clean(obj):
     return obj
 
 
-class Options:
-    """Flag values with JSON-config fallback; flags override file values."""
+class Flag(NamedTuple):
+    """One flag of one subcommand.
 
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self._args = args
-        self._config = config
+    ``cast`` parses the value whatever its source (flag, config or default).
+    ``when`` lists the ``--what`` values the flag applies to (all when empty);
+    a flag that does not apply is neither required nor a run parameter.
+    """
 
-    def get(self, name: str, default=_REQUIRED, cast=None):
-        value = getattr(self._args, name.replace("-", "_"), None)
-        if value is None:
-            value = self._config.get(name, self._config.get(name.replace("-", "_")))
-        if value is None:
-            if default is _REQUIRED:
-                raise ValueError(f"missing required option --{name}")
-            value = default
-        return cast(value) if cast is not None and value is not None else value
+    name: str
+    cast: Callable = str
+    default: object = _REQUIRED
+    when: tuple = ()
+    choices: tuple = ()
+    note: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
+
+    def help(self) -> str:
+        if self.default is _REQUIRED:
+            text = "required"
+        elif self.default is None:
+            text = "optional"
+        else:
+            text = f"default: {self.default}"
+        if self.when:
+            text += f"; only with --what {' or '.join(self.when)}"
+        return f"{self.note}; {text}" if self.note else text
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    path = getattr(args, "config", None)
+def _load_config(path) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -111,155 +127,93 @@ def _load_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _start_manifest(subcommand: str, argv: list, seeds: list, params: dict,
-                    inputs: list):
-    manifest = fieldio.RunManifest(
-        subcommand=subcommand,
-        command=[subcommand] if not argv else list(argv),
-        seeds=[int(s) for s in seeds],
-        parameters=_clean(params),
-        input_digests={p: fieldio.file_digest(p) for p in inputs},
-    )
-    return manifest, manifest.digest()
+def _resolve(flags: tuple, args: argparse.Namespace, config: dict) -> dict:
+    """Flag, else config entry, else default; each value cast once."""
+    values = {}
+    for f in flags:
+        value = getattr(args, f.dest)
+        if value is None:
+            value = config.get(f.name, config.get(f.dest))
+        if value is None:
+            value = f.default
+        if value is not None and value is not _REQUIRED:
+            try:
+                value = f.cast(value)
+                if f.choices and value not in f.choices:
+                    raise ValueError(f"expected one of {', '.join(f.choices)}")
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"--{f.name}: cannot read {value!r} ({exc})") from exc
+        values[f.dest] = value
+    what = values.get("what")
+    applies = [f for f in flags if not f.when or what in f.when]
+    for f in applies:
+        if values[f.dest] is _REQUIRED:
+            raise ValueError(f"missing required option --{f.name}")
+    return {f.dest: values[f.dest] for f in applies}
 
 
-def _finish_manifest(manifest, outputs: list, manifest_path, t0: float) -> None:
-    manifest.output_digests = {p: fieldio.file_digest(p) for p in outputs}
-    manifest.wall_clock_seconds = time.time() - t0
-    if manifest_path:
-        manifest.write(manifest_path)
+# --- subcommand handlers: each takes the resolved flags and the run digest ----
 
 
-def _manifest_path(opt: Options, out) -> object:
-    explicit = opt.get("manifest", default=None)
-    if explicit:
-        return explicit
-    return f"{out}.manifest.json" if out else None
-
-
-# --- subcommand handlers --------------------------------------------------------
-
-
-def _cmd_synth(opt: Options, argv: list) -> dict:
-    t0 = time.time()
-    seed = opt.get("seed", cast=int)
-    alpha = opt.get("alpha", cast=float)
-    hurst = opt.get("hurst", cast=_floats)
-    n = opt.get("n", default=6, cast=int)
-    M = opt.get("M", default=2.0, cast=float)
-    shape = opt.get("grid", default=(256, 256), cast=_shape)
-    bounds = opt.get("bounds", default=((0.1, 1.9), (0.1, 1.9)), cast=_bounds)
-    d = opt.get("d", default=1, cast=int)
-    count = opt.get("count", default=synthesis.DEFAULT_ATOM_COUNT, cast=int)
-    out = opt.get("out")
-    params = {
-        "alpha": alpha, "hurst": hurst, "n": n, "M": M,
-        "grid": list(shape), "bounds": [list(b) for b in bounds],
-        "d": d, "count": count,
-    }
-    manifest, digest = _start_manifest("synth", argv, [seed], params, [])
+def _synth(o: dict, run: str) -> dict:
+    """synthesize a field and write a .zh grid file"""
     field = synthesis.synthesize(
-        hurst, alpha, synthesis.TruncationDomain(n, M), (bounds, shape), seed,
-        d=d, count=count,
+        o["hurst"], o["alpha"], synthesis.TruncationDomain(o["n"], o["M"]),
+        (o["bounds"], o["grid"]), o["seed"], d=o["d"], count=o["count"],
     )
-    fieldio.write_field(field, out, run=digest)
-    _finish_manifest(manifest, [out], _manifest_path(opt, out), t0)
+    fieldio.write_field(field, o["out"], run=run)
     return {
-        "command": "synth", "out": out, "manifest": digest, "seed": seed,
-        "alpha": alpha, "hurst": hurst, "n": n, "M": M, "shape": list(shape),
-        "components": d, "coefficient_law": field.meta["coefficient_law"],
+        "seed": o["seed"], "alpha": o["alpha"], "hurst": o["hurst"],
+        "n": o["n"], "M": o["M"], "shape": o["grid"], "components": o["d"],
+        "coefficient_law": field.meta["coefficient_law"],
     }
 
 
-def _cmd_coeffs(opt: Options, argv: list) -> dict:
-    t0 = time.time()
-    seed = opt.get("seed", cast=int)
-    alpha = opt.get("alpha", cast=float)
-    hurst = opt.get("hurst", cast=_floats)
-    n = opt.get("n", cast=int)
-    M = opt.get("M", cast=float)
-    count = opt.get("count", default=synthesis.DEFAULT_ATOM_COUNT, cast=int)
-    out = opt.get("out")
-    params = {"alpha": alpha, "hurst": hurst, "n": n, "M": M, "count": count}
-    manifest, digest = _start_manifest("coeffs", argv, [seed], params, [])
-    atoms = lepage.sample_atoms(seed, count, len(hurst))
+def _coeffs(o: dict, run: str) -> dict:
+    """draw and store a coefficient set (packed complex64)"""
+    atoms = lepage.sample_atoms(o["seed"], o["count"], len(o["hurst"]))
     header = fieldio.write_coefficients(
-        atoms, alpha, n, M, out, hurst=hurst, run=digest
+        atoms, o["alpha"], o["n"], o["M"], o["out"], hurst=o["hurst"], run=run
     )
-    _finish_manifest(manifest, [out], _manifest_path(opt, out), t0)
     return {
-        "command": "coeffs", "out": out, "manifest": digest, "seed": seed,
-        "alpha": alpha, "n": n, "M": M, "count": count,
-        "blocks": len(header["blocks"]), "k_cap": header["k_cap"],
+        "seed": o["seed"], "alpha": o["alpha"], "n": o["n"], "M": o["M"],
+        "count": o["count"], "blocks": len(header["blocks"]),
+        "k_cap": header["k_cap"],
     }
 
 
-def _cmd_tables(opt: Options, argv: list) -> dict:
-    t0 = time.time()
-    what = opt.get("what")
-    out = opt.get("out")
-    points = opt.get("points", default=512, cast=int)
-    if what == "psi-hat":
-        lo = opt.get("xi-min", default=0.05, cast=float)
-        hi = opt.get("xi-max", default=8.0, cast=float)
-        xi = np.linspace(lo, hi, points)
+def _tables(o: dict, run: str) -> dict:
+    """dump wavelet, kernel and scale-constant tables as CSV"""
+    if o["what"] == "psi-hat":
+        xi = np.linspace(o["xi_min"], o["xi_max"], o["points"])
         vals = meyer_wavelet.psi_hat(xi)
         header = ["xi", "re_psi_hat", "im_psi_hat"]
         rows = [[x, v.real, v.imag] for x, v in zip(xi, vals)]
-        params = {"what": what, "xi_min": lo, "xi_max": hi, "points": points}
-    elif what == "psi-v":
-        v = opt.get("v", cast=float)
-        alpha = opt.get("alpha", cast=float)
-        ymax = opt.get("y-max", default=8.0, cast=float)
-        ys = np.linspace(-ymax, ymax, points)
-        vals = fractional_kernel.psi_v_values(v, alpha, ys)
+    elif o["what"] == "psi-v":
+        ys = np.linspace(-o["y_max"], o["y_max"], o["points"])
+        vals = fractional_kernel.psi_v_values(o["v"], o["alpha"], ys)
         header = ["y", "psi_v"]
         rows = [[y, w] for y, w in zip(ys, vals)]
-        params = {"what": what, "v": v, "alpha": alpha, "y_max": ymax,
-                  "points": points}
-    elif what == "kappa":
-        alphas = opt.get(
-            "alpha-grid", default=(0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0),
-            cast=_floats,
-        )
-        vs = opt.get(
-            "v-grid", default=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-            cast=_floats,
-        )
+    else:  # kappa
         header = ["alpha", "v", "kappa"]
-        rows = [[a, v, fractional_kernel.kappa(a, v)] for a in alphas for v in vs]
-        params = {"what": what, "alpha_grid": list(alphas), "v_grid": list(vs)}
-    else:
-        raise ValueError(f"unknown table kind: {what!r}")
-    manifest, digest = _start_manifest("tables", argv, [], params, [])
-    fieldio.write_csv(out, header, rows, run=digest)
-    _finish_manifest(manifest, [out], _manifest_path(opt, out), t0)
-    return {
-        "command": "tables", "what": what, "out": out, "manifest": digest,
-        "rows": len(rows),
-    }
+        rows = [[a, v, fractional_kernel.kappa(a, v)]
+                for a in o["alpha_grid"] for v in o["v_grid"]]
+    fieldio.write_csv(o["out"], header, rows, run=run)
+    return {"what": o["what"], "rows": len(rows)}
 
 
-def _cmd_ecf_check(opt: Options, argv: list) -> dict:
-    t0 = time.time()
-    seed = opt.get("seed", cast=int)
-    alpha = opt.get("alpha", cast=float)
-    hurst = opt.get("hurst", cast=_floats)
-    t_point = opt.get("t", cast=_floats)
-    samples = opt.get("samples", default=10_000, cast=int)
-    count = opt.get("count", default=20_000, cast=int)
-    tol = opt.get("tol", default=0.05, cast=float)
-    out = opt.get("out")
+def _ecf_check(o: dict, run: str) -> dict:
+    """compare the empirical characteristic-function scale to quadrature"""
+    alpha, hurst, t_point, samples = o["alpha"], o["hurst"], o["t"], o["samples"]
     if len(t_point) != len(hurst):
         raise ValueError("--t and --hurst must have the same length")
-    params = {"alpha": alpha, "hurst": hurst, "t": t_point, "samples": samples,
-              "count": count, "tol": tol}
-    manifest, digest = _start_manifest("ecf-check", argv, [seed], params, [])
+    if samples < 1:
+        raise ValueError("--samples must be at least 1")
     t_arr = np.asarray(t_point, dtype=float)
     xs = np.empty(samples)
     for r in range(samples):
         atoms = lepage.sample_atoms(
-            derived_seed(seed, "replication", r), count, len(hurst)
+            derived_seed(o["seed"], "replication", r), o["count"], len(hurst)
         )
         xs[r] = lepage.direct_field(atoms, t_arr, hurst, alpha)
     sigma = fractional_kernel.scale_sigma(t_point, None, hurst, alpha)
@@ -276,85 +230,61 @@ def _cmd_ecf_check(opt: Options, argv: list) -> dict:
             "fit_residual": est.residual,
         }
     ratio = observed / target
-    fieldio.write_csv(out, ["replication", "value"], list(enumerate(xs)),
-                      run=digest)
-    _finish_manifest(manifest, [out], _manifest_path(opt, out), t0)
+    fieldio.write_csv(o["out"], ["replication", "value"], list(enumerate(xs)),
+                      run=run)
     return {
-        "command": "ecf-check", "out": out, "manifest": digest, "seed": seed,
-        "alpha": alpha, "hurst": hurst, "t": t_point, "samples": samples,
-        "ratio": ratio, "tol": tol, "passes": bool(abs(ratio - 1.0) <= tol),
-        **summary_stats,
+        "seed": o["seed"], "alpha": alpha, "hurst": hurst, "t": t_point,
+        "samples": samples, "ratio": ratio, "tol": o["tol"],
+        "passes": bool(abs(ratio - 1.0) <= o["tol"]), **summary_stats,
     }
 
 
-def _cmd_holder(opt: Options, argv: list) -> dict:
-    t0 = time.time()
-    paths = opt.get("in", cast=_paths)
-    axis = opt.get("axis", default="all")
-    expect = opt.get("expect", default=None, cast=_floats)
-    tol = opt.get("tol", default=0.1, cast=float)
-    out = opt.get("out")
-    manifest, digest = _start_manifest(
-        "holder", argv, [], {"axis": str(axis), "expect": expect, "tol": tol},
-        paths,
-    )
+def _holder(o: dict, run: str) -> dict:
+    """per-axis Holder exponent estimates for stored fields"""
+    paths, expect, tol = o["in"], o["expect"], o["tol"]
     fields = [fieldio.read_field(p) for p in paths]
-    axes = list(range(fields[0].dimension)) if axis == "all" else [int(axis)]
+    dimension = fields[0].dimension
+    if o["axis"] == "all":
+        axes = list(range(dimension))
+    else:
+        axes = [int(o["axis"])]
+        if not 0 <= axes[0] < dimension:
+            raise ValueError(f"--axis {axes[0]} is not an axis of a "
+                             f"{dimension}-dimensional field")
     rows = []
     means = {}
     for ax in axes:
         slopes = [geometry.holder_axis_exponent(f, ax) for f in fields]
         rows.extend([p, ax, s] for p, s in zip(paths, slopes))
         means[f"axis{ax}"] = float(np.mean(slopes))
-    passes = True
-    if expect is not None:
-        for ax in axes:
-            passes = passes and abs(means[f"axis{ax}"] - expect[ax]) <= tol
-    fieldio.write_csv(out, ["file", "axis", "exponent"], rows, run=digest)
-    _finish_manifest(manifest, [out], _manifest_path(opt, out), t0)
+    passes = expect is None or all(
+        abs(means[f"axis{ax}"] - expect[ax]) <= tol for ax in axes
+    )
+    fieldio.write_csv(o["out"], ["file", "axis", "exponent"], rows, run=run)
     return {
-        "command": "holder", "out": out, "manifest": digest,
         "files": len(paths), "mean_exponents": means, "expect": expect,
         "tol": tol, "passes": bool(passes),
     }
 
 
-def _cmd_localtime(opt: Options, argv: list) -> dict:
-    t0 = time.time()
-    paths = opt.get("in", cast=_paths)
-    level = opt.get("level", default=0.0, cast=_floats)
-    corner = opt.get("corner", cast=_floats)
-    radii = opt.get("radii", cast=_floats)
-    out = opt.get("out")
-    level_arg = level[0] if len(level) == 1 else level
-    params = {"level": level, "corner": corner, "radii": radii}
-    manifest, digest = _start_manifest("localtime", argv, [], params, paths)
-    fields = [fieldio.read_field(p) for p in paths]
-    report = geometry.localtime_holder_report(fields, level_arg, corner, radii)
+def _localtime(o: dict, run: str) -> dict:
+    """local-time Holder report from stored fields"""
+    level = o["level"]
+    fields = [fieldio.read_field(p) for p in o["in"]]
+    report = geometry.localtime_holder_report(
+        fields, level[0] if len(level) == 1 else level, o["corner"], o["radii"]
+    )
     rows = list(zip(report["r_values"], report["lmax_means"]))
-    fieldio.write_csv(out, ["r", "mean_max_localtime"], rows, run=digest)
-    _finish_manifest(manifest, [out], _manifest_path(opt, out), t0)
-    return {"command": "localtime", "out": out, "manifest": digest,
-            "files": len(paths), **report}
+    fieldio.write_csv(o["out"], ["r", "mean_max_localtime"], rows, run=run)
+    return {"files": len(o["in"]), **report}
 
 
-def _cmd_levelset_dim(opt: Options, argv: list) -> dict:
-    t0 = time.time()
-    what = opt.get("what", default="level-set")
-    out = opt.get("out")
-    scales = opt.get("scales", default=(2, 3, 4, 5, 6), cast=_ints)
-    if what == "covering":
-        hurst = opt.get("hurst", cast=_floats)
-        points = opt.get("points", default=1024, cast=int)
-        manifest, digest = _start_manifest(
-            "levelset-dim",
-            argv,
-            [],
-            {"what": what, "hurst": hurst, "points": points,
-             "scales": list(scales)},
-            [],
-        )
-        axis = np.linspace(0.0, 1.0, points)
+def _levelset_dim(o: dict, run: str) -> dict:
+    """level-set box dimension, or the anisotropic covering exponent"""
+    scales = o["scales"]
+    if o["what"] == "covering":
+        hurst = o["hurst"]
+        axis = np.linspace(0.0, 1.0, o["points"])
         lattice = np.stack(
             np.meshgrid(axis, axis, indexing="ij"), -1
         ).reshape(-1, 2)
@@ -364,141 +294,185 @@ def _cmd_levelset_dim(opt: Options, argv: list) -> dict:
         Q = float(sum(1.0 / h for h in hurst))
         deviation = abs(est.slope / Q - 1.0)
         rows = list(zip(scales, est.box_counts))
-        fieldio.write_csv(out, ["scale", "box_count"], rows, run=digest)
-        _finish_manifest(manifest, [out], _manifest_path(opt, out), t0)
+        fieldio.write_csv(o["out"], ["scale", "box_count"], rows, run=run)
         return {
-            "command": "levelset-dim", "what": what, "out": out,
-            "manifest": digest, "slope": est.slope, "Q": Q,
+            "what": "covering", "slope": est.slope, "Q": Q,
             "deviation": deviation, "r_squared": est.r_squared,
             "passes": bool(deviation <= 0.05),
         }
-    paths = opt.get("in", cast=_paths)
-    level = opt.get("level", default=0.0, cast=float)
-    expect = opt.get("expect", default=None, cast=float)
-    tol = opt.get("tol", default=0.15, cast=float)
-    params = {"what": what, "level": level, "scales": list(scales),
-              "expect": expect, "tol": tol}
-    manifest, digest = _start_manifest("levelset-dim", argv, [], params, paths)
     rows = []
     dims = []
-    for p in paths:
+    for p in o["in"]:
         field = fieldio.read_field(p)
-        pts = geometry.level_set(field, level)
+        pts = geometry.level_set(field, o["level"])
         bounds = tuple((float(ax[0]), float(ax[-1])) for ax in field.axes)
         est = geometry.box_count_dimension(pts, bounds, "euclidean", tuple(scales))
         dims.append(est.slope)
         rows.append([p, pts.shape[0], est.slope, est.r_squared,
                      est.low_confidence])
     mean_dim = float(np.mean(dims))
+    expect, tol = o["expect"], o["tol"]
     passes = True if expect is None else abs(mean_dim - expect) <= tol
     fieldio.write_csv(
-        out, ["file", "points", "dimension", "r_squared", "low_confidence"],
-        rows, run=digest,
+        o["out"], ["file", "points", "dimension", "r_squared", "low_confidence"],
+        rows, run=run,
     )
-    _finish_manifest(manifest, [out], _manifest_path(opt, out), t0)
     return {
-        "command": "levelset-dim", "what": what, "out": out, "manifest": digest,
-        "files": len(paths), "mean_dimension": mean_dim, "expect": expect,
-        "tol": tol, "passes": bool(passes),
+        "what": o["what"], "files": len(o["in"]), "mean_dimension": mean_dim,
+        "expect": expect, "tol": tol, "passes": bool(passes),
     }
 
 
-def _cmd_formula(opt: Options, argv: list) -> dict:
-    hurst = opt.get("hurst", cast=_floats)
-    d = opt.get("d", cast=int)
-    dimF = opt.get("dimF", cast=float)
-    report = geometry.dim_inverse_image_formula(hurst, d, dimF)
-    summary = {
-        "command": "formula", "hurst": hurst, "d": d, "dimF": dimF,
-        "value": report["value"], "k": report["k"],
-        "sandwich_holds": report["sandwich_holds"], "regime": report["regime"],
-    }
+def _formula(o: dict, run: None) -> dict:
+    """closed-form inverse-image dimension value"""
+    hurst, d = o["hurst"], o["d"]
+    report = geometry.dim_inverse_image_formula(hurst, d, o["dimF"])
     try:
         tau, beta = geometry.beta_tau(hurst, d)
-        summary["tau"] = tau
-        summary["beta"] = beta
     except ValueError:
-        summary["tau"] = None
-        summary["beta"] = None
-    return summary
-
-
-def _cmd_scaling_check(opt: Options, argv: list) -> dict:
-    t0 = time.time()
-    seed = opt.get("seed", cast=int)
-    hurst = opt.get("hurst", cast=_floats)
-    alpha = opt.get("alpha", cast=float)
-    d = opt.get("d", default=1, cast=int)
-    region = opt.get("region", cast=_bounds)
-    n_scale = opt.get("n-scale", default=2, cast=int)
-    reps = opt.get("reps", default=400, cast=int)
-    n = opt.get("n", default=4, cast=int)
-    M = opt.get("M", default=1.5, cast=float)
-    shape = opt.get("shape", default=(128, 128), cast=_shape)
-    level = opt.get("level", default=0.0, cast=float)
-    out = opt.get("out")
-    params = {
-        "hurst": hurst, "alpha": alpha, "d": d,
-        "region": [list(b) for b in region], "n_scale": n_scale, "reps": reps,
-        "n": n, "M": M, "shape": list(shape), "level": level,
+        tau = beta = None
+    return {
+        "hurst": hurst, "d": d, "dimF": o["dimF"], "value": report["value"],
+        "k": report["k"], "sandwich_holds": report["sandwich_holds"],
+        "regime": report["regime"], "tau": tau, "beta": beta,
     }
-    manifest, digest = _start_manifest("scaling-check", argv, [seed], params, [])
-    seeds = [derived_seed(seed, "replication", r) for r in range(reps)]
+
+
+def _scaling_check(o: dict, run: str) -> dict:
+    """two-sample KS test of the local-time scaling law"""
+    seeds = [derived_seed(o["seed"], "replication", r) for r in range(o["reps"])]
     report = geometry.localtime_scaling_check(
-        seeds, hurst, alpha, d, region, n_scale,
-        synthesis.TruncationDomain(n, M), shape=shape, level=level,
+        seeds, o["hurst"], o["alpha"], o["d"], o["region"], o["n_scale"],
+        synthesis.TruncationDomain(o["n"], o["M"]), shape=o["shape"],
+        level=o["level"],
     )
     rows = [["base", i, v] for i, v in enumerate(report.pop("base_values"))]
     rows += [["scaled", i, v] for i, v in enumerate(report.pop("scaled_values"))]
-    fieldio.write_csv(out, ["group", "index", "max_localtime"], rows,
-                      run=digest)
-    _finish_manifest(manifest, [out], _manifest_path(opt, out), t0)
-    return {"command": "scaling-check", "out": out, "manifest": digest,
-            "seed": seed, **report}
+    fieldio.write_csv(o["out"], ["group", "index", "max_localtime"], rows,
+                      run=run)
+    return {"seed": o["seed"], **report}
 
 
-def _cmd_report(opt: Options, argv: list) -> dict:
+def _report(o: dict, run: str) -> dict:
+    """run acceptance checks and write a pass/fail table"""
     from . import acceptance
 
-    t0 = time.time()
-    checks = opt.get("checks", default="all")
-    out = opt.get("out", default=None)
-    if checks != "all":
-        checks = _ints(checks)
-    results = acceptance.run_criteria(None if checks == "all" else checks)
-    params = {"checks": "all" if checks == "all" else list(checks)}
-    manifest, digest = _start_manifest("report", argv, [], params, [])
+    results = acceptance.run_criteria(None if o["checks"] == "all" else o["checks"])
     rows = [
         [r["criterion"], "PASS" if r["passed"] else "FAIL", r["details"]]
         for r in results
     ]
-    outputs = []
-    if out:
-        fieldio.write_csv(out, ["criterion", "status", "details"], rows,
-                          run=digest)
-        outputs.append(out)
-    _finish_manifest(manifest, outputs, _manifest_path(opt, out), t0)
+    if o["out"]:
+        fieldio.write_csv(o["out"], ["criterion", "status", "details"], rows,
+                          run=run)
     failed = [r["criterion"] for r in results if not r["passed"]]
     return {
-        "command": "report", "out": out, "manifest": digest,
         "total": len(results), "passed": len(results) - len(failed),
         "failed": failed, "all_passed": not failed,
         "checks": [r["criterion"] for r in results],
     }
 
 
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "coeffs": _cmd_coeffs,
-    "tables": _cmd_tables,
-    "ecf-check": _cmd_ecf_check,
-    "holder": _cmd_holder,
-    "localtime": _cmd_localtime,
-    "levelset-dim": _cmd_levelset_dim,
-    "formula": _cmd_formula,
-    "scaling-check": _cmd_scaling_check,
-    "report": _cmd_report,
+_SEED = Flag("seed", int)
+_ALPHA = Flag("alpha", float)
+_HURST = Flag("hurst", _floats)
+_IN = Flag("in", _paths)
+_OUT = Flag("out")
+_COMMON = (
+    Flag("manifest", default=None,
+         note="run-manifest path, else <out>.manifest.json"),
+    Flag("threads", int, None,
+         note="accepted by every subcommand; outputs never depend on it"),
+)
+# Every resolved flag is a manifest parameter, except these.
+_NOT_PARAMETERS = {"seed", "in", "out", "manifest", "threads"}
+_LEVEL_SET, _COVERING = ("level-set",), ("covering",)
+
+_SUBCOMMANDS = {
+    "synth": (_synth, (
+        _SEED, _ALPHA, _HURST, Flag("n", int, 6), Flag("M", float, 2.0),
+        Flag("grid", _shape, "256x256"),
+        Flag("bounds", _bounds, "0.1,1.9x0.1,1.9"), Flag("d", int, 1),
+        Flag("count", int, synthesis.DEFAULT_ATOM_COUNT), _OUT,
+    )),
+    "coeffs": (_coeffs, (
+        _SEED, _ALPHA, _HURST, Flag("n", int), Flag("M", float),
+        Flag("count", int, synthesis.DEFAULT_ATOM_COUNT), _OUT,
+    )),
+    "tables": (_tables, (
+        Flag("what", choices=("psi-hat", "psi-v", "kappa")),
+        Flag("v", float, when=("psi-v",)),
+        Flag("alpha", float, when=("psi-v",)),
+        Flag("points", int, 512, when=("psi-hat", "psi-v")),
+        Flag("xi-min", float, 0.05, when=("psi-hat",)),
+        Flag("xi-max", float, 8.0, when=("psi-hat",)),
+        Flag("y-max", float, 8.0, when=("psi-v",)),
+        Flag("alpha-grid", _floats, "0.8,1.0,1.2,1.4,1.6,1.8,2.0",
+             when=("kappa",)),
+        Flag("v-grid", _floats, "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
+             when=("kappa",)),
+        _OUT,
+    )),
+    "ecf-check": (_ecf_check, (
+        _SEED, _ALPHA, _HURST, Flag("t", _floats), Flag("samples", int, 10_000),
+        Flag("count", int, 20_000), Flag("tol", float, 0.05), _OUT,
+    )),
+    "holder": (_holder, (
+        _IN, Flag("axis", default="all"), Flag("expect", _floats, None),
+        Flag("tol", float, 0.1), _OUT,
+    )),
+    "localtime": (_localtime, (
+        _IN, Flag("level", _floats, 0.0), Flag("corner", _floats),
+        Flag("radii", _floats), _OUT,
+    )),
+    "levelset-dim": (_levelset_dim, (
+        Flag("what", default="level-set", choices=("level-set", "covering")),
+        _IN._replace(when=_LEVEL_SET), Flag("level", float, 0.0, when=_LEVEL_SET),
+        Flag("scales", _ints, "2,3,4,5,6"),
+        Flag("expect", float, None, when=_LEVEL_SET),
+        Flag("tol", float, 0.15, when=_LEVEL_SET),
+        _HURST._replace(when=_COVERING), Flag("points", int, 1024, when=_COVERING),
+        _OUT,
+    )),
+    "formula": (_formula, (_HURST, Flag("d", int), Flag("dimF", float))),
+    "scaling-check": (_scaling_check, (
+        _SEED, _HURST, _ALPHA, Flag("d", int, 1), Flag("region", _bounds),
+        Flag("n-scale", int, 2), Flag("reps", int, 400), Flag("n", int, 4),
+        Flag("M", float, 1.5), Flag("shape", _shape, "128x128"),
+        Flag("level", float, 0.0), _OUT,
+    )),
+    "report": (_report, (
+        Flag("checks", _checks, "all"), _OUT._replace(default=None),
+    )),
 }
+
+
+def _run(name: str, args: argparse.Namespace, argv: list) -> dict:
+    """Resolve the flags, run the handler and record the run manifest.
+
+    A subcommand without ``--out`` (``formula``) writes no manifest.
+    """
+    t0 = time.time()
+    handler, flags = _SUBCOMMANDS[name]
+    o = _resolve(_COMMON + flags, args, _load_config(args.config))
+    if "out" not in o:
+        return {"command": name, **handler(o, None)}
+    manifest = fieldio.RunManifest(
+        subcommand=name,
+        command=list(argv),
+        seeds=[o["seed"]] if "seed" in o else [],
+        parameters=_clean({k: v for k, v in o.items() if k not in _NOT_PARAMETERS}),
+        input_digests={p: fieldio.file_digest(p) for p in o.get("in", [])},
+    )
+    digest = manifest.digest()
+    summary = handler(o, digest)
+    out = o["out"]
+    manifest.output_digests = {p: fieldio.file_digest(p) for p in [out] if p}
+    manifest.wall_clock_seconds = time.time() - t0
+    path = o["manifest"] or (f"{out}.manifest.json" if out else None)
+    if path:
+        manifest.write(path)
+    return {"command": name, "out": out, "manifest": digest, **summary}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,66 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
         "distributional, regularity, local-time, and dimension checks.",
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-
-    def add(name, flags):
-        p = sub.add_parser(name)
+    for name, (handler, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--manifest", help="run-manifest path")
-        p.add_argument("--threads", type=int, help="accepted by every "
-                       "subcommand; outputs never depend on it")
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        return p
-
-    add("synth", [
-        ("--seed", {"type": int}), ("--alpha", {"type": float}),
-        ("--hurst", {}), ("--n", {"type": int}), ("--M", {"type": float}),
-        ("--grid", {}), ("--bounds", {}), ("--d", {"type": int}),
-        ("--count", {"type": int}), ("--out", {}),
-    ])
-    add("coeffs", [
-        ("--seed", {"type": int}), ("--alpha", {"type": float}),
-        ("--hurst", {}), ("--n", {"type": int}), ("--M", {"type": float}),
-        ("--count", {"type": int}), ("--out", {}),
-    ])
-    add("tables", [
-        ("--what", {"choices": ["psi-hat", "psi-v", "kappa"]}),
-        ("--v", {"type": float}), ("--alpha", {"type": float}),
-        ("--points", {"type": int}), ("--xi-min", {"type": float}),
-        ("--xi-max", {"type": float}), ("--y-max", {"type": float}),
-        ("--alpha-grid", {}), ("--v-grid", {}), ("--out", {}),
-    ])
-    add("ecf-check", [
-        ("--seed", {"type": int}), ("--alpha", {"type": float}),
-        ("--hurst", {}), ("--t", {}), ("--samples", {"type": int}),
-        ("--count", {"type": int}), ("--tol", {"type": float}), ("--out", {}),
-    ])
-    add("holder", [
-        ("--in", {}), ("--axis", {}), ("--expect", {}),
-        ("--tol", {"type": float}), ("--out", {}),
-    ])
-    add("localtime", [
-        ("--in", {}), ("--level", {}), ("--corner", {}), ("--radii", {}),
-        ("--out", {}),
-    ])
-    add("levelset-dim", [
-        ("--what", {"choices": ["level-set", "covering"]}), ("--in", {}),
-        ("--level", {"type": float}), ("--scales", {}), ("--expect", {"type": float}),
-        ("--tol", {"type": float}), ("--hurst", {}), ("--points", {"type": int}),
-        ("--out", {}),
-    ])
-    add("formula", [
-        ("--hurst", {}), ("--d", {"type": int}), ("--dimF", {"type": float}),
-    ])
-    add("scaling-check", [
-        ("--seed", {"type": int}), ("--hurst", {}), ("--alpha", {"type": float}),
-        ("--d", {"type": int}), ("--region", {}), ("--n-scale", {"type": int}),
-        ("--reps", {"type": int}), ("--n", {"type": int}), ("--M", {"type": float}),
-        ("--shape", {}), ("--level", {"type": float}), ("--out", {}),
-    ])
-    add("report", [
-        ("--checks", {}), ("--out", {}),
-    ])
+        for f in _COMMON + flags:
+            p.add_argument(f"--{f.name}", choices=f.choices or None, help=f.help())
     return parser
 
 
@@ -582,9 +501,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        config = _load_config(args)
-        summary = _HANDLERS[args.subcommand](Options(args, config), argv)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        summary = _run(args.subcommand, args, argv)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

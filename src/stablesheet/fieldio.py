@@ -105,6 +105,8 @@ def _read_envelope(path: str, magic: bytes):
         header = json.loads(blob[off : off + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FieldFormatError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise FieldFormatError(f"{path}: header is not a JSON object")
     version = int(header.get("format_version", 0))
     if version > FORMAT_VERSION:
         raise VersionMismatchError(
@@ -159,6 +161,8 @@ def read_field(path: str) -> synthesis.FieldGrid:
             ) from exc
         axes = synthesis.grid_axes(bounds, shape)
     components = int(meta.get("components", 1))
+    if components < 1:
+        raise FieldFormatError(f"{path}: header declares {components} components")
     expected = components * int(np.prod(shape)) * 8
     if len(payload) < expected:
         raise TruncatedPayloadError(

@@ -108,7 +108,7 @@ def psi_v_imag_residual(v: float, alpha: float, y: object, nodes: int | None = N
 
 @dataclass
 class FractionalTable:
-    """Sampled psi_v and its derivative on [-halfwidth, halfwidth], with splines."""
+    """Sampled psi_v on [-halfwidth, halfwidth], with its spline."""
 
     v: float
     alpha: float
@@ -116,11 +116,9 @@ class FractionalTable:
     step: float
     y: np.ndarray
     values: np.ndarray
-    derivative_values: np.ndarray
     decay_constant: float
     imag_residual: float
     _spline: object = field(repr=False, default=None)
-    _dspline: object = field(repr=False, default=None)
 
     def in_domain(self, y: object) -> np.ndarray:
         return np.abs(np.asarray(y, dtype=float)) <= self.halfwidth
@@ -140,17 +138,8 @@ class FractionalTable:
         return out
 
     def dpsi(self, y: object) -> np.ndarray:
-        arr = np.asarray(y, dtype=float)
-        inside = self.in_domain(arr)
-        if inside.all():
-            return self._dspline(arr)
-        out = np.empty(np.shape(arr), dtype=float)
-        flat_in = np.asarray(inside).reshape(-1)
-        flat_y = arr.reshape(-1)
-        flat_out = out.reshape(-1)
-        flat_out[flat_in] = self._dspline(flat_y[flat_in])
-        flat_out[~flat_in] = psi_v_values(self.v, self.alpha, flat_y[~flat_in], derivative=True)
-        return out
+        """The derivative of psi_v, by direct quadrature."""
+        return psi_v_values(self.v, self.alpha, y, derivative=True)
 
 
 def psi_v_table(v: float, alpha: float, halfwidth: float, step: float = 1.0 / 32.0) -> FractionalTable:
@@ -167,7 +156,6 @@ def psi_v_table(v: float, alpha: float, halfwidth: float, step: float = 1.0 / 32
     y = -halfwidth + step * np.arange(npts)
     nodes = quad_nodes_for(halfwidth)
     values = psi_v_values(v, alpha, y, nodes=nodes)
-    derivs = psi_v_values(v, alpha, y, nodes=nodes, derivative=True)
     far = np.abs(y) >= 20.0
     decay = float(np.max(np.abs(values[far]) * (2.0 + np.abs(y[far])) ** 4)) if far.any() else 0.0
     spot = np.linspace(-halfwidth, halfwidth, 65)
@@ -179,11 +167,9 @@ def psi_v_table(v: float, alpha: float, halfwidth: float, step: float = 1.0 / 32
         step=step,
         y=y,
         values=values,
-        derivative_values=derivs,
         decay_constant=decay,
         imag_residual=residual,
         _spline=make_interp_spline(y, values, k=5),
-        _dspline=make_interp_spline(y, derivs, k=5),
     )
     return table
 
@@ -198,13 +184,15 @@ def table_for(v: float, alpha: float, n: int, M: float, step: float = 1.0 / 32.0
 
 
 def w_coeff(table: FractionalTable, j: int, k: object, x: object) -> np.ndarray:
-    """Deterministic series factor 2^(-j v) (psi_v(2^j x - k) - psi_v(-k))."""
+    """Deterministic series factor 2^(-j v) (psi_v(2^j x - k) - psi_v(-k)).
+
+    k and x broadcast against each other (k[:, None] and x[None, :] give the
+    factor matrix of one axis); psi_v(-k) is evaluated once per k.
+    """
     j = int(j)
     k_arr = np.asarray(k, dtype=float)
     x_arr = np.asarray(x, dtype=float)
-    a1 = np.ldexp(x_arr, j) - k_arr
-    a2 = -k_arr * np.ones_like(a1)
-    return 2.0 ** (-j * table.v) * (table.psi(a1) - table.psi(a2))
+    return 2.0 ** (-j * table.v) * (table.psi(np.ldexp(x_arr, j) - k_arr) - table.psi(-k_arr))
 
 
 def w_decay_constants(

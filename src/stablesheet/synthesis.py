@@ -21,7 +21,7 @@ import numpy as np
 
 from . import lepage
 from ._rng import component_seed
-from .fractional_kernel import kappa, table_for
+from .fractional_kernel import kappa, table_for, w_coeff
 
 DEFAULT_ATOM_COUNT = 50_000
 VERSION = "0.1.0"
@@ -117,14 +117,6 @@ def _check_hurst(H: object) -> np.ndarray:
     return H_arr
 
 
-def _w_matrix(table, h: float, j: int, ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # scaled factor matrix over one axis: rows k, columns grid points,
-    # 2^{-jh} (psi_v(2^j x - k) - psi_v(-k))
-    args = np.ldexp(xs, int(j))[None, :] - ks[:, None]
-    base = table.psi(-ks.astype(float))
-    return 2.0 ** (-j * h) * (table.psi(args) - base[:, None])
-
-
 def _accumulate(
     atoms,
     H: np.ndarray,
@@ -139,14 +131,14 @@ def _accumulate(
 
     def w2_for(j2: int) -> np.ndarray:
         if j2 not in w2:
-            w2[j2] = _w_matrix(tables[1], H[1], j2, ks, axes[1])
+            w2[j2] = w_coeff(tables[1], j2, ks[:, None], axes[1][None, :])
         return w2[j2]
 
     total = np.zeros((len(axes[0]), len(axes[1])))
     blocks = lepage.coefficient_blocks(atoms, alpha, trunc.n, trunc.M, mode=mode)
     for j1, row in itertools.groupby(blocks, key=lambda b: b[0]):
         folded = sum(np.real(block) @ w2_for(j2) for _, j2, block in row)
-        total += _w_matrix(tables[0], H[0], j1, ks, axes[0]).T @ folded
+        total += w_coeff(tables[0], j1, ks[:, None], axes[0][None, :]).T @ folded
     return total
 
 
@@ -394,7 +386,7 @@ def truncated_point_variance(H: object, trunc: TruncationDomain, t: object) -> d
         table = table_for(float(h), 2.0, trunc.n, trunc.M)
         s = 0.0
         for j in range(-trunc.n, trunc.n + 1):
-            w = _w_matrix(table, h, j, ks, np.array([x]))[:, 0]
+            w = w_coeff(table, j, ks, x)
             s += float(np.sum(w**2))
         axis_sums.append(s)
     variance = 2.0 * float(np.prod(axis_sums))

@@ -32,6 +32,29 @@ def small_field(seed=42):
     )
 
 
+def rewrite_header(tmp_path, name, edit):
+    """A small field file whose JSON header is replaced by ``edit(header)``."""
+    src = tmp_path / "src.zh"
+    fieldio.write_field(small_field(), str(src))
+    blob = src.read_bytes()
+    hlen = struct.unpack_from("<I", blob, 8)[0]
+    raw = fieldio.canonical_json(edit(json.loads(blob[12 : 12 + hlen]))).encode()
+    path = tmp_path / name
+    path.write_bytes(
+        fieldio.FIELD_MAGIC + struct.pack("<I", len(raw)) + raw + blob[12 + hlen :]
+    )
+    return str(path)
+
+
+def header_as_array(header):
+    return [header]
+
+
+def no_components(header):
+    header["meta"]["components"] = 0
+    return header
+
+
 class TestFieldFormat:
     def test_roundtrip_is_lossless(self, tmp_path):
         f = small_field()
@@ -80,20 +103,19 @@ class TestFieldFormat:
             fieldio.read_field(str(tmp_path / "cut.zh"))
 
     def test_newer_revision_is_refused(self, tmp_path):
-        f = small_field()
-        path = str(tmp_path / "f.zh")
-        fieldio.write_field(f, path)
-        blob = (tmp_path / "f.zh").read_bytes()
-        hlen = struct.unpack_from("<I", blob, 8)[0]
-        header = json.loads(blob[12 : 12 + hlen])
-        header["format_version"] = fieldio.FORMAT_VERSION + 1
-        raw = fieldio.canonical_json(header).encode()
-        (tmp_path / "new.zh").write_bytes(
-            fieldio.FIELD_MAGIC + struct.pack("<I", len(raw)) + raw
-            + blob[12 + hlen :]
+        path = rewrite_header(
+            tmp_path, "new.zh",
+            lambda h: {**h, "format_version": fieldio.FORMAT_VERSION + 1},
         )
         with pytest.raises(fieldio.VersionMismatchError):
-            fieldio.read_field(str(tmp_path / "new.zh"))
+            fieldio.read_field(path)
+
+    @pytest.mark.parametrize("edit", [header_as_array, no_components])
+    def test_malformed_header_is_a_format_error(self, tmp_path, edit):
+        # a header must be a JSON object and declare at least one component
+        path = rewrite_header(tmp_path, "bad.zh", edit)
+        with pytest.raises(fieldio.FieldFormatError):
+            fieldio.read_field(path)
 
     def test_coefficient_roundtrip(self, tmp_path):
         atoms = lepage.sample_atoms(3, 40, 2, 1.5)
@@ -408,6 +430,57 @@ class TestCliContract:
         code, out = run_cli(["formula", "--config", str(cfg), "--dimF", "1"])
         assert code == 0 and json.loads(out)["value"] == 2.0
 
+    @pytest.mark.parametrize("edit", [header_as_array, no_components])
+    @pytest.mark.parametrize("subcommand", ["holder", "levelset-dim"])
+    def test_malformed_header_exits_2(self, tmp_path, subcommand, edit):
+        path = rewrite_header(tmp_path, "bad.zh", edit)
+        code, _ = run_cli([subcommand, "--in", path, "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+
+    # argv ({field}: a 2-D field file, {tmp}: a scratch directory) and the
+    # config passed with it; each holds one malformed value
+    MALFORMED = {
+        "config-scales-not-a-list": (
+            ["levelset-dim", "--in", "{field}", "--out", "{tmp}/d.csv"],
+            {"scales": 3},
+        ),
+        "config-grid-not-a-shape": (
+            ["synth", "--seed", "7", "--alpha", "1.5", "--hurst", "0.5,0.7",
+             "--n", "2", "--M", "1.0", "--bounds", "0.1,0.9x0.1,0.9",
+             "--count", "500", "--out", "{tmp}/s.zh"],
+            {"grid": 32},
+        ),
+        "holder-axis-out-of-range": (
+            ["holder", "--in", "{field}", "--axis", "5", "--out", "{tmp}/h.csv"],
+            None,
+        ),
+        "ecf-check-no-samples": (
+            ["ecf-check", "--seed", "5", "--alpha", "2", "--hurst", "0.5,0.7",
+             "--t", "1,1", "--samples", "0", "--count", "10",
+             "--out", "{tmp}/e.csv"],
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("argv, config", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_value_exits_2(self, tmp_path, argv, config):
+        field = tmp_path / "f.zh"
+        fieldio.write_field(small_field(), str(field))
+        argv = [a.format(field=field, tmp=tmp_path) for a in argv]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        code, _ = run_cli(argv)
+        assert code == 2
+
+    def test_help_lists_defaults(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(["synth", "--help"]) == 0
+        text = " ".join(buf.getvalue().split())
+        assert "--grid GRID default: 256x256" in text
+        assert "--seed SEED required" in text
+
     def test_help_exits_zero(self):
         code, _ = run_cli(["--help"])
         assert code == 0
@@ -426,3 +499,109 @@ class TestCliContract:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["value"] == 1.6
+
+
+class TestManifestContract:
+    """Seeds and parameters of each subcommand's run manifest.
+
+    They decide the manifest digest, and so the bytes of every artifact,
+    which carries that digest. The argv are those of criterion 13 (plus the
+    other ``--what`` kinds); the literals were read off manifests it wrote.
+    """
+
+    CASES = {
+        "synth": (SYNTH_ARGS, [7], {
+            "M": 1.0, "alpha": 1.5, "bounds": [[0.1, 0.9], [0.1, 0.9]],
+            "count": 500, "d": 1, "grid": [8, 8], "hurst": [0.5, 0.7], "n": 2,
+        }),
+        "coeffs": (
+            ["coeffs", "--seed", "9", "--alpha", "1.5", "--hurst", "0.5,0.7",
+             "--n", "2", "--M", "1.0", "--count", "500"],
+            [9],
+            {"M": 1.0, "alpha": 1.5, "count": 500, "hurst": [0.5, 0.7], "n": 2},
+        ),
+        "tables-kappa": (
+            ["tables", "--what", "kappa", "--alpha-grid", "1.5,2.0",
+             "--v-grid", "0.3,0.5"],
+            [],
+            {"alpha_grid": [1.5, 2.0], "v_grid": [0.3, 0.5], "what": "kappa"},
+        ),
+        "tables-psi-hat": (
+            ["tables", "--what", "psi-hat", "--points", "64"],
+            [],
+            {"points": 64, "what": "psi-hat", "xi_max": 8.0, "xi_min": 0.05},
+        ),
+        "tables-psi-v": (
+            ["tables", "--what", "psi-v", "--v", "0.5", "--alpha", "1.5",
+             "--points", "32"],
+            [],
+            {"alpha": 1.5, "points": 32, "v": 0.5, "what": "psi-v", "y_max": 8.0},
+        ),
+        "ecf-check": (
+            ["ecf-check", "--seed", "5", "--alpha", "2.0", "--hurst", "0.5,0.5",
+             "--t", "1,1", "--samples", "40", "--count", "200"],
+            [5],
+            {"alpha": 2.0, "count": 200, "hurst": [0.5, 0.5], "samples": 40,
+             "t": [1.0, 1.0], "tol": 0.05},
+        ),
+        "holder": (
+            ["holder", "--in", "{field}", "--axis", "all"],
+            [],
+            {"axis": "all", "expect": None, "tol": 0.1},
+        ),
+        "localtime": (
+            ["localtime", "--in", "{field}", "--level", "0.0",
+             "--corner", "0.1,0.1", "--radii", "0.4,0.2,0.1"],
+            [],
+            {"corner": [0.1, 0.1], "level": [0.0], "radii": [0.4, 0.2, 0.1]},
+        ),
+        "levelset-dim": (
+            ["levelset-dim", "--what", "level-set", "--in", "{field}",
+             "--scales", "1,2,3"],
+            [],
+            {"expect": None, "level": 0.0, "scales": [1, 2, 3], "tol": 0.15,
+             "what": "level-set"},
+        ),
+        "levelset-dim-covering": (
+            ["levelset-dim", "--what", "covering", "--hurst", "0.5,0.5",
+             "--points", "64"],
+            [],
+            {"hurst": [0.5, 0.5], "points": 64, "scales": [2, 3, 4, 5, 6],
+             "what": "covering"},
+        ),
+        "scaling-check": (
+            ["scaling-check", "--seed", "31", "--hurst", "0.5,0.5",
+             "--alpha", "2.0", "--d", "1", "--region", "0.05,0.175x0.05,0.175",
+             "--n-scale", "2", "--reps", "400", "--n", "1", "--M", "1.5",
+             "--shape", "8x8"],
+            [31],
+            {"M": 1.5, "alpha": 2.0, "d": 1, "hurst": [0.5, 0.5], "level": 0.0,
+             "n": 1, "n_scale": 2, "region": [[0.05, 0.175], [0.05, 0.175]],
+             "reps": 400, "shape": [8, 8]},
+        ),
+        "report": (["report", "--checks", "1"], [], {"checks": [1]}),
+    }
+
+    @pytest.fixture(scope="class")
+    def field_path(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("field") / "f.zh")
+        code, _ = run_cli(
+            ["synth", "--seed", "7", "--alpha", "2.0", "--hurst", "0.5,0.7",
+             "--n", "2", "--M", "1.0", "--grid", "256x256",
+             "--bounds", "0.05,0.95x0.05,0.95", "--out", path]
+        )
+        assert code == 0
+        return path
+
+    @pytest.mark.parametrize("argv, seeds, parameters", CASES.values(),
+                             ids=CASES.keys())
+    def test_seeds_and_parameters(self, field_path, tmp_path, argv, seeds,
+                                  parameters):
+        out = str(tmp_path / "out")
+        code, text = run_cli([a.format(field=field_path) for a in argv]
+                             + ["--out", out])
+        assert code == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert manifest["seeds"] == seeds
+        assert manifest["parameters"] == parameters
+        assert manifest["manifest_digest"] == json.loads(text)["manifest"]
