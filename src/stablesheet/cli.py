@@ -60,8 +60,11 @@ def _bounds(value) -> tuple:
 
 def _paths(value) -> list:
     if isinstance(value, str):
-        return [p for p in value.split(",") if p]
-    return list(value)
+        value = [p for p in value.split(",") if p]
+    paths = list(value)
+    if not paths:
+        raise ValueError("names no file")
+    return paths
 
 
 def _checks(value):
@@ -251,6 +254,9 @@ def _holder(o: dict, run: str) -> dict:
         if not 0 <= axes[0] < dimension:
             raise ValueError(f"--axis {axes[0]} is not an axis of a "
                              f"{dimension}-dimensional field")
+    if expect is not None and len(expect) <= max(axes):
+        raise ValueError(f"--expect gives {len(expect)} exponent(s); "
+                         f"axis {max(axes)} needs {max(axes) + 1}")
     rows = []
     means = {}
     for ax in axes:

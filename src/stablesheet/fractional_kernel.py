@@ -24,9 +24,15 @@ _SUPPORT = ((RING_LOWER, 2.0 * RING_LOWER), (2.0 * RING_LOWER, RING_UPPER))
 _Y_CHUNK = 2048
 
 
+@lru_cache(maxsize=32)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # one eigenvalue solve per node count, shared by every interval
+    return np.polynomial.legendre.leggauss(n)
+
+
 @lru_cache(maxsize=128)
 def _gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    x, w = _leggauss(int(n))
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -38,6 +44,22 @@ def _check_v_alpha(v: float, alpha: float) -> tuple[float, float]:
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     return v, alpha
+
+
+def progression_phases(start: float, step: float, count: int, freq: object) -> tuple:
+    """Two short tables that factor e^{i t_l f} over t_l = start + l step, l < count.
+
+    With L = isqrt(count) and l = L q + r, e^{i t_l f} = coarse[q] * fine[r]:
+    coarse[q] = e^{i (start + L q step) f} has ceil(count / L) rows and
+    fine[r] = e^{i r step f} has L rows, one column per frequency. That takes
+    about 2 sqrt(count) complex exponentials per frequency instead of count.
+    """
+    f = np.asarray(freq, dtype=float)
+    L = math.isqrt(count)
+    Q = -(-count // L)
+    coarse = np.exp(1j * np.outer(start + step * (L * np.arange(Q)), f))
+    fine = np.exp(1j * np.outer(step * np.arange(L), f))
+    return coarse, fine
 
 
 def quad_nodes_for(max_abs_y: float) -> int:
@@ -106,6 +128,27 @@ def psi_v_imag_residual(v: float, alpha: float, y: object, nodes: int | None = N
     return float(np.max(np.abs(total.imag)))
 
 
+def _psi_v_progression(v: float, alpha: float, y0: float, step: float, count: int, nodes: int) -> np.ndarray:
+    """psi_v_values at y_l = y0 + l step, l < count, without one cosine per entry.
+
+    With the tables of progression_phases, cos(A_q + B_r) = cos A_q cos B_r -
+    sin A_q sin B_r, so entry l = L q + r is the dot product of
+    amp [cos A_q | -sin A_q] with [cos B_r | sin B_r]. einsum sums these in
+    its own loops rather than in BLAS, whose results can change with the BLAS
+    thread count (matrix-vector products too, at some shapes).
+    """
+    res = np.zeros(int(count), dtype=float)
+    for a, b in _SUPPORT:
+        eta, w = _gl_nodes(a, b, nodes)
+        amp = w * envelope(eta) / np.sqrt(TAU) * eta ** (-v - 1.0 / alpha)
+        coarse, fine = progression_phases(y0 + 0.5, step, count, eta)
+        basis = np.concatenate([fine.real, fine.imag], axis=1)
+        heads = np.concatenate([amp * coarse.real, -amp * coarse.imag], axis=1)
+        sums = np.einsum("qf,rf->qr", heads, basis, optimize=False)
+        res += 2.0 * sums.reshape(-1)[: res.size]
+    return res
+
+
 @dataclass
 class FractionalTable:
     """Sampled psi_v on [-halfwidth, halfwidth], with its spline."""
@@ -155,7 +198,7 @@ def psi_v_table(v: float, alpha: float, halfwidth: float, step: float = 1.0 / 32
     npts = int(round(2.0 * halfwidth / step)) + 1
     y = -halfwidth + step * np.arange(npts)
     nodes = quad_nodes_for(halfwidth)
-    values = psi_v_values(v, alpha, y, nodes=nodes)
+    values = _psi_v_progression(v, alpha, -halfwidth, step, npts, nodes)
     far = np.abs(y) >= 20.0
     decay = float(np.max(np.abs(values[far]) * (2.0 + np.abs(y[far])) ** 4)) if far.any() else 0.0
     spot = np.linspace(-halfwidth, halfwidth, 65)

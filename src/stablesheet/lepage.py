@@ -17,6 +17,7 @@ from scipy.special import gamma as _gamma_fn
 from scipy.special import roots_jacobi
 
 from ._rng import stream
+from .fractional_kernel import progression_phases
 from .meyer_wavelet import RING_UPPER, TAU, envelope, psi_hat_ajk
 
 _GAUSS_COEFF_STD = math.sqrt(2.0)
@@ -198,6 +199,13 @@ def _scaled_axis(atoms: LePageAtoms, axis: int, j: int) -> tuple:
     return x, np.asarray(envelope(x))
 
 
+def _lattice_phases(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # e^{i k x} for the consecutive integers ks, from two short exp tables
+    coarse, fine = progression_phases(float(ks[0]), 1.0, ks.size, x)
+    phases = coarse[:, None, :] * fine[None, :, :]
+    return phases.reshape(-1, x.size)[: ks.size]
+
+
 def _atom_block(
     atoms: LePageAtoms, weights: np.ndarray, alpha: float, j1: int, j2: int,
     ks: np.ndarray, axis1: tuple | None = None, axis2: tuple | None = None,
@@ -219,9 +227,10 @@ def _atom_block(
     )
     for start in range(0, coeff.size, _ATOM_CHUNK):
         sel = slice(start, start + _ATOM_CHUNK)
-        p1 = np.exp(1j * np.outer(ks, x1[sel]))
-        p2 = np.exp(1j * np.outer(ks, x2[sel]))
-        out += (p1 * coeff[sel]) @ p2.T
+        p1 = _lattice_phases(ks, x1[sel])
+        p2 = _lattice_phases(ks, x2[sel])
+        p1 *= coeff[sel]
+        out += p1 @ p2.T
     return out
 
 

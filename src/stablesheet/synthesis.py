@@ -134,11 +134,19 @@ def _accumulate(
             w2[j2] = w_coeff(tables[1], j2, ks[:, None], axes[1][None, :])
         return w2[j2]
 
+    # isotropic H on a square grid: W1_j equals W2_j, so build each level once
+    same_axes = tables[0] is tables[1] and np.array_equal(axes[0], axes[1])
+
+    def w1_for(j1: int) -> np.ndarray:
+        if same_axes:
+            return w2_for(j1)
+        return w_coeff(tables[0], j1, ks[:, None], axes[0][None, :])
+
     total = np.zeros((len(axes[0]), len(axes[1])))
     blocks = lepage.coefficient_blocks(atoms, alpha, trunc.n, trunc.M, mode=mode)
     for j1, row in itertools.groupby(blocks, key=lambda b: b[0]):
         folded = sum(np.real(block) @ w2_for(j2) for _, j2, block in row)
-        total += w_coeff(tables[0], j1, ks[:, None], axes[0][None, :]).T @ folded
+        total += w1_for(j1).T @ folded
     return total
 
 

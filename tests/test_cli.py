@@ -279,6 +279,32 @@ class TestCliEstimators:
         assert lines[0] == "file,axis,exponent,manifest"
         assert len(lines) == 1 + 2 * len(field_files)
 
+    # argv ({fields}: two 2-D field files of 256 x 256 points); each names no
+    # input file, or gives fewer --expect exponents than the axes it checks
+    NOTHING_TO_CHECK = {
+        "holder-in-names-no-file": ["holder", "--in", ","],
+        "localtime-in-names-no-file": [
+            "localtime", "--in", ",", "--corner", "0.1,0.1", "--radii", "0.4,0.2",
+        ],
+        "levelset-dim-in-names-no-file": ["levelset-dim", "--in", ","],
+        # a loose tol lets axis 0 pass, so all() goes on to axis 1
+        "holder-expect-shorter-than-all-axes": [
+            "holder", "--in", "{fields}", "--axis", "all", "--expect", "0.5",
+            "--tol", "100",
+        ],
+        "holder-expect-misses-the-axis": [
+            "holder", "--in", "{fields}", "--axis", "1", "--expect", "0.5",
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "argv", NOTHING_TO_CHECK.values(), ids=NOTHING_TO_CHECK.keys()
+    )
+    def test_nothing_to_check_exits_2(self, field_files, tmp_path, argv):
+        argv = [a.format(fields=",".join(field_files)) for a in argv]
+        code, _ = run_cli(argv + ["--out", str(tmp_path / "o.csv")])
+        assert code == 2
+
     def test_localtime(self, field_files, tmp_path):
         out = str(tmp_path / "lt.csv")
         code, text = run_cli(

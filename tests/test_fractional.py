@@ -1,6 +1,9 @@
 """Fractional antiderivative tables, kernels, kappa, and scale quadratures."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -45,6 +48,35 @@ class TestTable:
         direct_d = fk.psi_v_values(0.5, 1.5, pts, derivative=True)
         assert np.max(np.abs(table.dpsi(pts) - direct_d)) < 1e-8
 
+    def test_grid_values_match_direct_quadrature(self, table):
+        direct = fk.psi_v_values(0.5, 1.5, table.y, nodes=fk.quad_nodes_for(64.0))
+        assert np.max(np.abs(table.values - direct)) < 1e-13 * np.max(np.abs(direct))
+
+    def test_values_do_not_depend_on_blas_threads(self):
+        # 320 is the halfwidth of the benchmark's tables, 1408 criterion 3's largest
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fk.__file__)))
+        code = (
+            "import hashlib\n"
+            "from stablesheet import fractional_kernel as fk\n"
+            "for hw in (320.0, 1408.0):\n"
+            "    values = fk.psi_v_table(0.5, 2.0, hw).values\n"
+            "    print(hashlib.sha256(values.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split())
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
+
     def test_diagnostics(self, table):
         assert table.imag_residual < 1e-12
         # sup over |y| >= 20 of |psi_v(y)| (2+|y|)^4, finite quartic decay
@@ -65,6 +97,20 @@ class TestTable:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             fk.psi_v_table(0.5, 1.5, -1.0)
+
+
+class TestProgressionPhases:
+    @pytest.mark.parametrize("count", [1, 2, 10, 16, 17, 321])
+    def test_tables_factor_the_progression(self, count):
+        start, step = -3.25, 0.375
+        freq = np.array([0.0, 0.7, 2.5, 8.3])
+        coarse, fine = fk.progression_phases(start, step, count, freq)
+        L = math.isqrt(count)
+        assert fine.shape == (L, freq.size)
+        assert coarse.shape == (-(-count // L), freq.size)
+        rebuilt = (coarse[:, None, :] * fine[None, :, :]).reshape(-1, freq.size)
+        direct = np.exp(1j * np.outer(start + step * np.arange(count), freq))
+        assert np.max(np.abs(rebuilt[:count] - direct)) < 1e-13
 
 
 class TestSeriesFactor:

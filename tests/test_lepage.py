@@ -207,6 +207,24 @@ class TestCoefficient:
                 scalar = lp.coefficient(a, (1, -1), (k1, k2), 1.5)
                 assert abs(scalar - block[ki, kj]) < 1e-10 * max(1.0, abs(scalar))
 
+    def test_block_route_at_the_lattice_edge(self):
+        # k_cap = 160 (n = 6, M = 1.25): the block's phases come from two short
+        # exp tables, so check the corners of the lattice, where k x is largest,
+        # at a coarse level and at the finest level on each axis
+        a = lp.sample_atoms(3, 2000, 2)
+        k_cap = 160
+        ks = np.arange(-k_cap, k_cap + 1)
+        weights = lp.atom_weights(a, 1.5)
+        occupied = lp.occupied_scale_pairs(a, 6)
+        for j1, j2 in ((-12, -3), (6, -3), (-3, 6)):
+            assert (j1, j2) in occupied
+            block = lp._atom_block(a, weights, 1.5, j1, j2, ks)
+            for k1, k2 in ((-k_cap, -k_cap), (-k_cap, k_cap), (k_cap, -k_cap),
+                           (k_cap, k_cap), (0, 0)):
+                scalar = lp.coefficient(a, (j1, j2), (k1, k2), 1.5)
+                got = block[k1 + k_cap, k2 + k_cap]
+                assert abs(scalar - got) < 1e-10 * max(1.0, abs(scalar))
+
     def test_gaussian_scalar_matches_block_bitwise(self):
         a = lp.sample_atoms(9, 1, 2)
         for j1, j2, block in lp.coefficient_blocks(a, 2.0, 1, 1.0):

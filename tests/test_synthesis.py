@@ -6,7 +6,7 @@ import pytest
 from stablesheet import lepage as lp
 from stablesheet import synthesis as sy
 from stablesheet._rng import component_seed
-from stablesheet.fractional_kernel import table_for
+from stablesheet.fractional_kernel import table_for, w_coeff
 from stablesheet.meyer_wavelet import envelope
 
 
@@ -119,6 +119,25 @@ class TestSynthesizeAgainstBruteForce:
         scale = np.max(np.abs(brute))
         assert np.max(np.abs(field.component(0) - brute)) < 1e-12 * scale
         assert pairs == [(j1, j2) for j1 in (-1, 0, 1) for j2 in (-1, 0, 1)]
+
+    def test_isotropic_square_grid_builds_one_factor_per_level(self, monkeypatch):
+        # equal H on equal axes: the fold takes W1_j from the axis-1 factors
+        trunc = sy.TruncationDomain(1, 1.0)
+        H = (0.6, 0.6)
+        grid = (((0.2, 0.9), (0.2, 0.9)), (4, 4))
+        built = []
+
+        def counted(table, j, k, x):
+            built.append(j)
+            return w_coeff(table, j, k, x)
+
+        monkeypatch.setattr(sy, "w_coeff", counted)
+        field = sy.synthesize(H, 1.5, trunc, grid, seed=42, count=60)
+        atoms = lp.sample_atoms(component_seed(42, 0), 60, 2)
+        brute, pairs = brute_force_series(atoms, H, 1.5, trunc, field.axes, "auto")
+        scale = np.max(np.abs(brute))
+        assert np.max(np.abs(field.component(0) - brute)) < 1e-12 * scale
+        assert sorted(built) == sorted({j for pair in pairs for j in pair})
 
     def test_shared_atom_route(self):
         trunc = sy.TruncationDomain(1, 1.0)
