@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import tempfile
@@ -159,16 +160,18 @@ def read_field(path: str) -> synthesis.FieldGrid:
             raise FieldFormatError(
                 f"{path}: header declares neither axes nor bounds/shape"
             ) from exc
-        axes = synthesis.grid_axes(bounds, shape)
+        axes = None  # built once the payload is known to hold the shape
     components = int(meta.get("components", 1))
     if components < 1:
         raise FieldFormatError(f"{path}: header declares {components} components")
-    expected = components * int(np.prod(shape)) * 8
+    expected = components * math.prod(shape) * 8
     if len(payload) < expected:
         raise TruncatedPayloadError(
             f"{path}: payload holds {len(payload)} bytes, header declares "
             f"{expected}"
         )
+    if axes is None:
+        axes = synthesis.grid_axes(bounds, shape)
     values = np.frombuffer(payload[:expected], dtype="<f8").reshape(
         (components,) + shape
     )

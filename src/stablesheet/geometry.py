@@ -332,13 +332,20 @@ def occupation_density(field: object, region: object, bins: int = 64) -> Occupat
 
 
 def _median_increment(values: np.ndarray) -> float:
-    pools = []
+    # the increments of every axis pooled in one buffer, absolute values and
+    # median taken in place: one field-sized temporary per axis, not three
+    sizes = [values.size // s * (s - 1) for s in values.shape if s > 1]
+    if not sizes:
+        return 0.0
+    pooled = np.empty(sum(sizes))
+    start = 0
     for axis in range(values.ndim):
         if values.shape[axis] > 1:
-            pools.append(np.abs(np.diff(values, axis=axis)).ravel())
-    if not pools:
-        return 0.0
-    return float(np.median(np.concatenate(pools)))
+            inc = np.diff(values, axis=axis).ravel()
+            pooled[start:start + inc.size] = inc
+            start += inc.size
+    np.abs(pooled, out=pooled)
+    return float(np.median(pooled, overwrite_input=True))
 
 
 def _localtime_at(sel: np.ndarray, cell_volume: float, x: np.ndarray, width: float) -> float:

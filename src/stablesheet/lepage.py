@@ -16,12 +16,14 @@ import numpy as np
 from scipy.special import gamma as _gamma_fn
 from scipy.special import roots_jacobi
 
+from . import _blas
 from ._rng import stream
 from .fractional_kernel import progression_phases
 from .meyer_wavelet import RING_UPPER, TAU, envelope, psi_hat_ajk
 
 _GAUSS_COEFF_STD = math.sqrt(2.0)
 _ATOM_CHUNK = 8192
+_COLUMN_CHUNK = 2048  # atoms per phase table in _level_columns: K x 2048 complex
 _POINT_CHUNK = 512
 
 
@@ -349,9 +351,78 @@ def coefficient_blocks(
             row = (j1, _scaled_axis(atoms, 0, j1))
         if j2 not in axis2:
             axis2[j2] = _scaled_axis(atoms, 1, j2)
-        yield j1, j2, _atom_block(
-            atoms, weights, alpha, j1, j2, ks, row[1], axis2[j2]
-        )
+        with _blas.one_thread():
+            block = _atom_block(atoms, weights, alpha, j1, j2, ks, row[1], axis2[j2])
+        yield j1, j2, block
+
+
+def _level_columns(
+    atoms: LePageAtoms, axis: int, j: int, held: np.ndarray, alpha: float,
+    ks: np.ndarray, factor: np.ndarray, weights: np.ndarray | None = None,
+) -> np.ndarray:
+    # one column per held atom a: f(a, j) sum_k e^{i k x_a} factor[k, :], with
+    # f = 2^{-j/alpha} envelope(x) / sqrt(2 pi) e^{-i x / 2} (times the atom's
+    # weight, when given) and x = 2^{-j} x_{a,axis}
+    x = np.ldexp(atoms.points[held, axis], -j)
+    f = 2.0 ** (-j / alpha) * (np.asarray(envelope(x)) / math.sqrt(TAU)) * np.exp(-0.5j * x)
+    if weights is not None:
+        f *= weights[held]
+    cols = np.empty((factor.shape[1], x.size), dtype=complex)
+    for start in range(0, x.size, _COLUMN_CHUNK):
+        sel = slice(start, start + _COLUMN_CHUNK)
+        phases = _lattice_phases(ks, x[sel])
+        # a real factor times complex phases: one real GEMM on the interleaved parts
+        cols[:, sel] = (factor.T @ phases.view(float)).view(complex)
+    cols *= f
+    return cols
+
+
+def projected_atom_blocks(
+    atoms: LePageAtoms, alpha: float, n: int, M: float, factor
+):
+    """Yield (j1, j2, Z) with Z = Re(A1^T C A2) over the occupied scale pairs.
+
+    C is the atom-route block of coefficient_blocks (mode "atoms") at (j1, j2)
+    and A_l = factor(l, j_l) is a real matrix with one row per translation
+    |k| <= k_cap. C is never formed: its coefficient is separable per atom,
+    w_a f_1(a, j1) f_2(a, j2) e^{i (k1 x1 + k2 x2)}, so each axis level gets
+    one column per atom it holds, h_l(a, j) = f_l(a, j) sum_k e^{i k x} A_l[k, :],
+    and Z = Re(sum_a w_a h_1(a, j1) h_2(a, j2)^T) over the atoms of the pair.
+    Pairs come in the lexicographic order of occupied_scale_pairs; only atoms
+    held on both axes get columns.
+    """
+    alpha = float(alpha)
+    n, M = int(n), float(M)
+    if atoms.dimension != 2:
+        raise ValueError("coefficient blocks are two-dimensional")
+    k_cap = int(math.floor(M * 2.0 ** (n + 1)))
+    ks = np.arange(-k_cap, k_cap + 1)
+    weights = atom_weights(atoms, alpha)
+    held = [_held_levels(atoms.points[:, axis], n) for axis in (0, 1)]
+    # on_other[l]: the atoms that some level of the other axis holds
+    on_other = [np.zeros(atoms.count, dtype=bool) for _ in held]
+    for axis, levels in enumerate(held):
+        for mask in levels.values():
+            on_other[1 - axis] |= mask
+    # axis 1: every level's columns, kept while axis 0 runs through its levels
+    axis2 = {}
+    for j2, mask in held[1].items():
+        sel = mask & on_other[1]
+        if sel.any():
+            axis2[j2] = (sel, _level_columns(atoms, 1, j2, sel, alpha, ks, factor(1, j2)))
+    for j1, mask in held[0].items():
+        sel1 = mask & on_other[0]
+        if not sel1.any():
+            continue
+        cols1 = _level_columns(atoms, 0, j1, sel1, alpha, ks, factor(0, j1), weights)
+        for j2, (sel2, cols2) in axis2.items():
+            common = sel1 & sel2
+            if not common.any():
+                continue
+            # Re(x y^T) = x_re y_re^T - x_im y_im^T, one GEMM on interleaved parts
+            x = np.ascontiguousarray(cols1[:, common[sel1]])
+            y = np.ascontiguousarray(np.conj(cols2[:, common[sel2]]))
+            yield j1, j2, x.view(float) @ y.view(float).T
 
 
 def _kernel_matrix(ts: np.ndarray, lam: np.ndarray, v: float, alpha: float) -> np.ndarray:

@@ -1,25 +1,28 @@
 """Truncated random wavelet synthesis on rectangular grids.
 
-A field is the fold of the coefficient blocks C_{j1,j2} against per-axis
-factor matrices W_j (rows k, columns grid points, scaled by 2^{-jH}):
-sum over (j1, j2) of W1_{j1}^T Re(C_{j1,j2}) W2_{j2}. The blocks arrive
-j1-major, so each row of scales is first reduced over j2 to
-R = sum_j2 Re(C_{j1,j2}) W2_{j2} and then added once as W1_{j1}^T R. The
-summation order is fixed by the block order, so reruns give the same bits.
-The GEMMs take their threads from BLAS, and a different BLAS thread count can
-change the last bits.
+A field is the sum over scale pairs (j1, j2) of W1_{j1}^T Re(C_{j1,j2}) W2_{j2},
+with C the coefficient blocks and W_j the per-axis factor matrices (rows k,
+columns grid points, scaled by 2^{-jH}). On a bounded grid each W_j has a small
+numerical rank, so the series is folded through one plan per axis: the
+truncated SVD W_j ~ A_j B_j^T, keeping the singular values above 1e-15 times
+the largest. A field is then B1 Z B2^T, where Z stacks the small blocks
+Z_{j1,j2} = A1_{j1}^T Re(C_{j1,j2}) A2_{j2}. The Gaussian route projects each
+drawn block; the atom route forms Z in atom space without any block (see
+lepage.projected_atom_blocks). Plans are cached across calls, and every product
+runs on one BLAS thread, so the bytes depend neither on the BLAS thread count
+nor on what the process computed before.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import lepage
+from . import _blas, lepage
 from ._rng import component_seed
 from .fractional_kernel import kappa, table_for, w_coeff
 
@@ -117,6 +120,49 @@ def _check_hurst(H: object) -> np.ndarray:
     return H_arr
 
 
+_RANK_TOL = 1e-15
+
+
+class AxisPlan:
+    """Truncated-SVD factors of one axis's W_j, built on first use per level.
+
+    factors(j) gives (A_j, B_j) with A_j = U_j S_j (translations x r_j) and
+    B_j = V_j (grid points x r_j), keeping the singular values above
+    _RANK_TOL times the largest. Where a column of W_j is exactly zero (a grid
+    point at 0) the row of B_j is zeroed, so the field vanishes there exactly.
+    """
+
+    def __init__(self, v: float, alpha: float, n: int, M: float, axis: np.ndarray) -> None:
+        self.table_args = (v, alpha, n, M)
+        k_cap = TruncationDomain(n, M).k_cap
+        self.ks = np.arange(-k_cap, k_cap + 1)
+        self.axis = axis
+        self.levels = {}
+
+    def factors(self, j: int) -> tuple:
+        if j not in self.levels:
+            w = w_coeff(table_for(*self.table_args), j, self.ks[:, None], self.axis[None, :])
+            u, s, vt = np.linalg.svd(w, full_matrices=False)
+            r = int(np.count_nonzero(s > _RANK_TOL * s[0]))
+            a = u[:, :r] * s[:r]
+            b = np.ascontiguousarray(vt[:r].T)
+            b[~w.any(axis=0)] = 0.0
+            a.setflags(write=False)
+            b.setflags(write=False)
+            self.levels[j] = (a, b)
+        return self.levels[j]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes + b.nbytes for a, b in self.levels.values())
+
+
+@lru_cache(maxsize=8)
+def axis_plan(v: float, alpha: float, n: int, M: float, axis: bytes) -> AxisPlan:
+    """The plan of one axis grid (its float64 bytes) at (v, alpha, n, M)."""
+    return AxisPlan(v, alpha, n, M, np.frombuffer(axis, dtype=float))
+
+
 def _accumulate(
     atoms,
     H: np.ndarray,
@@ -125,35 +171,63 @@ def _accumulate(
     axes: tuple,
     mode: str,
 ) -> np.ndarray:
-    ks = np.arange(-trunc.k_cap, trunc.k_cap + 1)
-    tables = [table_for(float(h), float(alpha), trunc.n, trunc.M) for h in H]
-    w2: dict = {}
+    plans = [
+        axis_plan(float(h), float(alpha), trunc.n, trunc.M, np.asarray(a, dtype=float).tobytes())
+        for h, a in zip(H, axes)
+    ]
 
-    def w2_for(j2: int) -> np.ndarray:
-        if j2 not in w2:
-            w2[j2] = w_coeff(tables[1], j2, ks[:, None], axes[1][None, :])
-        return w2[j2]
+    def factor(axis: int, j: int) -> np.ndarray:
+        return plans[axis].factors(j)[0]
 
-    # isotropic H on a square grid: W1_j equals W2_j, so build each level once
-    same_axes = tables[0] is tables[1] and np.array_equal(axes[0], axes[1])
-
-    def w1_for(j1: int) -> np.ndarray:
-        if same_axes:
-            return w2_for(j1)
-        return w_coeff(tables[0], j1, ks[:, None], axes[0][None, :])
-
-    total = np.zeros((len(axes[0]), len(axes[1])))
-    blocks = lepage.coefficient_blocks(atoms, alpha, trunc.n, trunc.M, mode=mode)
-    for j1, row in itertools.groupby(blocks, key=lambda b: b[0]):
-        folded = sum(np.real(block) @ w2_for(j2) for _, j2, block in row)
-        total += w1_for(j1).T @ folded
-    return total
+    with _blas.one_thread():
+        if alpha == 2.0 and mode == "auto":
+            blocks = [
+                (j1, j2, factor(0, j1).T @ (np.real(c) @ factor(1, j2)))
+                for j1, j2, c in lepage.coefficient_blocks(atoms, alpha, trunc.n, trunc.M)
+            ]
+        else:
+            blocks = list(lepage.projected_atom_blocks(atoms, alpha, trunc.n, trunc.M, factor))
+        if not blocks:
+            return np.zeros((len(axes[0]), len(axes[1])))
+        # stack exactly the levels this field needs, in ascending j, so its
+        # bytes do not depend on the levels earlier calls cached
+        bases, starts = [], []
+        for axis, plan in enumerate(plans):
+            levels = sorted({b[axis] for b in blocks})
+            parts = [plan.factors(j)[1] for j in levels]
+            bases.append(np.hstack(parts))
+            starts.append(dict(zip(levels, np.cumsum([0] + [p.shape[1] for p in parts]))))
+        core = np.zeros((bases[0].shape[1], bases[1].shape[1]))
+        for j1, j2, z in blocks:
+            r1, r2 = starts[0][j1], starts[1][j2]
+            core[r1:r1 + z.shape[0], r2:r2 + z.shape[1]] = z
+        return (bases[0] @ core) @ bases[1].T
 
 
 def _validate_grid(axes: tuple, M: float) -> None:
     for a in axes:
         if np.max(np.abs(a)) > M:
             raise ValueError(f"grid must lie inside [-{M}, {M}] on every axis")
+
+
+def _field_meta(
+    H: np.ndarray, alpha: float, trunc: TruncationDomain, axes: tuple,
+    seed: int, atoms: int, components: int, law: str,
+) -> dict:
+    """The meta dict a synthesized field records (its .zh header)."""
+    return {
+        "H": [float(h) for h in H],
+        "alpha": float(alpha),
+        "n": trunc.n,
+        "M": trunc.M,
+        "seed": int(seed),
+        "atoms": int(atoms),
+        "components": int(components),
+        "coefficient_law": law,
+        "bounds": [[float(a[0]), float(a[-1])] for a in axes],
+        "shape": [len(a) for a in axes],
+        "version": VERSION,
+    }
 
 
 def synthesize(
@@ -199,19 +273,8 @@ def synthesize(
         sub_seed = component_seed(seed, i)
         atoms = lepage.sample_atoms(sub_seed, max(atom_count, 1), 2)
         values[i] = _accumulate(atoms, H_arr, alpha, trunc, axes, "auto")
-    meta = {
-        "H": [float(h) for h in H_arr],
-        "alpha": alpha,
-        "n": trunc.n,
-        "M": trunc.M,
-        "seed": int(seed),
-        "atoms": atom_count,
-        "components": int(d),
-        "coefficient_law": "gaussian" if alpha == 2.0 else "lepage",
-        "bounds": [[float(a[0]), float(a[-1])] for a in axes],
-        "shape": [len(a) for a in axes],
-        "version": VERSION,
-    }
+    law = "gaussian" if alpha == 2.0 else "lepage"
+    meta = _field_meta(H_arr, alpha, trunc, axes, seed, atom_count, d, law)
     return FieldGrid(axes=axes, values=values, meta=meta)
 
 
@@ -235,19 +298,7 @@ def synthesize_from_atoms(
     axes = grid_axes(*grid)
     _validate_grid(axes, trunc.M)
     values = _accumulate(atoms, H_arr, alpha, trunc, axes, "atoms")[None]
-    meta = {
-        "H": [float(h) for h in H_arr],
-        "alpha": alpha,
-        "n": trunc.n,
-        "M": trunc.M,
-        "seed": int(atoms.seed),
-        "atoms": int(atoms.count),
-        "components": 1,
-        "coefficient_law": "shared-atoms",
-        "bounds": [[float(a[0]), float(a[-1])] for a in axes],
-        "shape": [len(a) for a in axes],
-        "version": VERSION,
-    }
+    meta = _field_meta(H_arr, alpha, trunc, axes, atoms.seed, atoms.count, 1, "shared-atoms")
     return FieldGrid(axes=axes, values=values, meta=meta)
 
 

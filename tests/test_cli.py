@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablesheet import cli
 from stablesheet import fieldio
@@ -48,6 +50,12 @@ def rewrite_header(tmp_path, name, edit):
 
 def header_as_array(header):
     return [header]
+
+
+def huge_shape(header):
+    # the reader must refuse it from the payload size, before building axes
+    header["meta"]["shape"] = [256, 10**12]
+    return header
 
 
 def no_components(header):
@@ -110,7 +118,7 @@ class TestFieldFormat:
         with pytest.raises(fieldio.VersionMismatchError):
             fieldio.read_field(path)
 
-    @pytest.mark.parametrize("edit", [header_as_array, no_components])
+    @pytest.mark.parametrize("edit", [header_as_array, no_components, huge_shape])
     def test_malformed_header_is_a_format_error(self, tmp_path, edit):
         # a header must be a JSON object and declare at least one component
         path = rewrite_header(tmp_path, "bad.zh", edit)
@@ -456,7 +464,7 @@ class TestCliContract:
         code, out = run_cli(["formula", "--config", str(cfg), "--dimF", "1"])
         assert code == 0 and json.loads(out)["value"] == 2.0
 
-    @pytest.mark.parametrize("edit", [header_as_array, no_components])
+    @pytest.mark.parametrize("edit", [header_as_array, no_components, huge_shape])
     @pytest.mark.parametrize("subcommand", ["holder", "levelset-dim"])
     def test_malformed_header_exits_2(self, tmp_path, subcommand, edit):
         path = rewrite_header(tmp_path, "bad.zh", edit)
@@ -525,6 +533,49 @@ class TestCliContract:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["value"] == 1.6
+
+
+class TestFuzzedFieldFile:
+    """Any byte mutation of a valid .zh file exits 0 or 2, never 1."""
+
+    # bytes that keep a JSON header parseable more often than a random byte
+    JSON_BYTES = b'0123456789-+.eE[]{},:" '
+
+    def test_mutated_bytes_exit_0_or_2(self, tmp_path):
+        # holder needs 256 points per axis, so the field is 256 x 256
+        src = tmp_path / "src.zh"
+        fieldio.write_field(sy.synthesize(
+            (0.5, 0.7), 1.5, sy.TruncationDomain(2, 1.0),
+            (((0.1, 0.9), (0.1, 0.9)), (256, 256)), 42, count=500,
+        ), str(src))
+        blob = src.read_bytes()
+        header_end = 12 + struct.unpack_from("<I", blob, 8)[0]
+        fuzzed = tmp_path / "fuzzed.zh"
+        argvs = [
+            ["holder", "--in", str(fuzzed), "--axis", "all", "--out", str(tmp_path / "h.csv")],
+            ["levelset-dim", "--in", str(fuzzed), "--scales", "1,2,3",
+             "--out", str(tmp_path / "d.csv")],
+        ]
+        byte = st.one_of(st.integers(0, 255), st.sampled_from(self.JSON_BYTES))
+
+        @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+        @given(
+            # positions in the header more often than in the values
+            edits=st.lists(st.tuples(st.one_of(st.integers(0, header_end - 1),
+                                               st.integers(0, len(blob) - 1)), byte),
+                           min_size=1, max_size=4),
+            cut=st.one_of(st.none(), st.integers(0, len(blob))),
+        )
+        def check(edits, cut):
+            data = bytearray(blob)
+            for pos, value in edits:
+                data[pos] = value
+            fuzzed.write_bytes(bytes(data[:cut]))
+            for argv in argvs:
+                code, _ = run_cli(argv)
+                assert code in (0, 2), (argv[0], bytes(data[:cut]))
+
+        check()
 
 
 class TestManifestContract:

@@ -1,5 +1,10 @@
 """Tests for truncated wavelet synthesis on grids."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -131,6 +136,7 @@ class TestSynthesizeAgainstBruteForce:
             built.append(j)
             return w_coeff(table, j, k, x)
 
+        sy.axis_plan.cache_clear()
         monkeypatch.setattr(sy, "w_coeff", counted)
         field = sy.synthesize(H, 1.5, trunc, grid, seed=42, count=60)
         atoms = lp.sample_atoms(component_seed(42, 0), 60, 2)
@@ -152,6 +158,82 @@ class TestSynthesizeAgainstBruteForce:
         assert field.meta["coefficient_law"] == "shared-atoms"
 
 
+def kept_ranks(field, H, alpha, trunc):
+    """Per axis, {j: r_j} of the plan that synthesized the field."""
+    return [
+        {j: a.shape[1] for j, (a, _) in sy.axis_plan(
+            float(h), float(alpha), trunc.n, trunc.M, ax.tobytes()).levels.items()}
+        for h, ax in zip(H, field.axes)
+    ]
+
+
+class TestTruncatedFactors:
+    """Brute force on grids where the plan drops singular directions of W_j."""
+
+    # K = 17 translations against 32 and 24 grid points
+    GRID = (((0.2, 0.9), (0.1, 0.8)), (32, 24))
+    TRUNC = sy.TruncationDomain(2, 1.0)
+    H = (0.5, 0.7)
+
+    def check(self, field, atoms, alpha, mode):
+        brute, _ = brute_force_series(atoms, self.H, alpha, self.TRUNC, field.axes, mode)
+        scale = np.max(np.abs(brute))
+        assert np.max(np.abs(field.component(0) - brute)) < 1e-12 * scale
+        full = [min(self.TRUNC.k_cap * 2 + 1, ax.size) for ax in field.axes]
+        ranks = kept_ranks(field, self.H, alpha, self.TRUNC)
+        assert all(r <= f for rk, f in zip(ranks, full) for r in rk.values())
+        assert all(any(r < f for r in rk.values()) for rk, f in zip(ranks, full))
+
+    def test_gaussian_route(self):
+        field = sy.synthesize(self.H, 2.0, self.TRUNC, self.GRID, seed=5)
+        self.check(field, lp.sample_atoms(component_seed(5, 0), 1, 2), 2.0, "auto")
+
+    def test_heavy_tail_route(self):
+        field = sy.synthesize(self.H, 1.5, self.TRUNC, self.GRID, seed=42, count=400)
+        self.check(field, lp.sample_atoms(component_seed(42, 0), 400, 2), 1.5, "auto")
+
+    def test_shared_atom_route(self):
+        atoms = lp.sample_atoms(33, 400, 2)
+        field = sy.synthesize_from_atoms(atoms, self.H, 2.0, self.TRUNC, self.GRID)
+        self.check(field, atoms, 2.0, "atoms")
+
+
+class TestPlanReuse:
+    def test_second_call_builds_no_factor(self, monkeypatch):
+        trunc = sy.TruncationDomain(2, 1.0)
+        grid = (((0.1, 0.9), (0.1, 0.9)), (16, 12))
+        for alpha in (1.5, 2.0):
+            sy.synthesize((0.5, 0.7), alpha, trunc, grid, 3, count=300)
+            built = []
+
+            def counted(table, j, k, x):
+                built.append(j)
+                return w_coeff(table, j, k, x)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(sy, "w_coeff", counted)
+                sy.synthesize((0.5, 0.7), alpha, trunc, grid, 3, count=300)
+            assert built == []
+
+    def test_cache_stays_small_at_the_ensemble_config(self):
+        # one 1024-point axis at n = 6, M = 1.25, shared by both axes
+        sy.axis_plan.cache_clear()
+        trunc = sy.TruncationDomain(6, 1.25)
+        field = sy.synthesize((0.5, 0.5), 2.0, trunc,
+                              (((0.05, 1.15), (0.05, 1.15)), (1024, 1024)), 1)
+        assert sy.axis_plan.cache_info().currsize == 1
+        plan = sy.axis_plan(0.5, 2.0, 6, 1.25, field.axes[0].tobytes())
+        assert sorted(plan.levels) == list(range(-6, 7))
+        assert plan.nbytes < 8_000_000
+
+
+def _subprocess_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sy.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestDeterminism:
     GRID = (((0.1, 0.9), (0.1, 0.9)), (48, 48))
 
@@ -160,6 +242,60 @@ class TestDeterminism:
         a = sy.synthesize((0.5, 0.7), 1.5, trunc, self.GRID, 11, count=1500)
         b = sy.synthesize((0.5, 0.7), 1.5, trunc, self.GRID, 11, count=1500)
         assert np.array_equal(a.values, b.values)
+
+    # synthesize(H, alpha, TRUNC, GRID, 11, count=COUNT) in a fresh process
+    FRESH = (
+        "import hashlib\n"
+        "from stablesheet import synthesis as sy\n"
+        "for alpha in (1.5, 2.0):\n"
+        "    f = sy.synthesize((0.5, 0.7), alpha, sy.TruncationDomain(5, 1.0),\n"
+        "                      (((0.1, 0.9), (0.1, 0.9)), (128, 128)), 11, count=2000)\n"
+        "    print(hashlib.sha256(f.values.tobytes()).hexdigest())\n"
+    )
+
+    def test_bytes_do_not_depend_on_the_warm_plans(self):
+        proc = subprocess.run([sys.executable, "-c", self.FRESH], capture_output=True,
+                              text=True, env=_subprocess_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        fresh = proc.stdout.split()
+        # large enough that stacking the extra cached levels changes the bytes
+        trunc = sy.TruncationDomain(5, 1.0)
+        grid = (((0.1, 0.9), (0.1, 0.9)), (128, 128))
+        warm = []
+        for alpha in (1.5, 2.0):
+            # other pools and routes first build levels that seed 11 does not use:
+            # a larger pool reaches coarser levels, and so does the shared-atom route
+            sy.synthesize((0.5, 0.7), alpha, trunc, grid, 12, count=20000)
+            sy.synthesize_from_atoms(lp.sample_atoms(4, 20000, 2), (0.5, 0.7), alpha,
+                                     trunc, grid)
+            sy.synthesize((0.5, 0.7), alpha, sy.TruncationDomain(2, 1.0), grid, 13, count=500)
+            field = sy.synthesize((0.5, 0.7), alpha, trunc, grid, 11, count=2000)
+            warm.append(hashlib.sha256(field.values.tobytes()).hexdigest())
+        assert len(fresh) == 2
+        assert warm == fresh
+
+    def test_synth_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # alpha = 2: criterion 13's budget config; alpha = 1.5: an atom-route field
+        argvs = {
+            "gauss": ["--alpha", "2.0", "--hurst", "0.5,0.7", "--n", "6", "--M", "2.0",
+                      "--grid", "256x256", "--bounds", "0.1,1.9x0.1,1.9"],
+            "atoms": ["--alpha", "1.5", "--hurst", "0.5,0.7", "--n", "4", "--M", "1.25",
+                      "--grid", "128x128", "--bounds", "0.1,1.1x0.1,1.1", "--count", "5000"],
+        }
+        digests = {}
+        for threads in ("1", "2"):
+            env = dict(_subprocess_env(), OPENBLAS_NUM_THREADS=threads)
+            for name, argv in argvs.items():
+                out = tmp_path / f"{name}-{threads}.zh"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "stablesheet.cli", "synth", "--seed", "99",
+                     *argv, "--out", str(out)],
+                    capture_output=True, text=True, env=env, timeout=300,
+                )
+                assert proc.returncode == 0, proc.stderr
+                digests[name, threads] = hashlib.sha256(out.read_bytes()).hexdigest()
+        for name in argvs:
+            assert digests[name, "1"] == digests[name, "2"]
 
     def test_components_use_independent_streams(self):
         trunc = sy.TruncationDomain(1, 1.0)
