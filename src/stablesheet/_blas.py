@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import sys
 from functools import lru_cache
 
 _SYMBOLS = (
@@ -22,9 +23,18 @@ _SYMBOLS = (
 )
 
 
-@lru_cache(maxsize=1)
 def _controls() -> tuple:
-    """(get, set) thread-count functions, one pair per loaded OpenBLAS library."""
+    """(get, set) thread-count functions, one pair per loaded OpenBLAS library.
+
+    A library loads with the extension module that links it, and scipy is
+    imported where it is used, so its OpenBLAS can arrive after the first
+    call: the scan reruns whenever the number of imported modules has changed.
+    """
+    return _scan(len(sys.modules))
+
+
+@lru_cache(maxsize=1)
+def _scan(modules: int) -> tuple:
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})

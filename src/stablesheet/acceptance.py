@@ -136,11 +136,14 @@ def criterion_4() -> dict:
     H = (0.5, 0.7)
     parts = []
     passed = True
-    for alpha in (1.0, 1.5):
-        xs = np.empty(10_000)
-        for s in range(10_000):
-            atoms = lepage.sample_atoms(60000 + s, 20000, 2)
-            xs[s] = lepage.direct_field(atoms, t, H, alpha)
+    alphas = (1.0, 1.5)
+    samples = np.empty((len(alphas), 10_000))
+    # one draw per pool, shared by both alphas
+    for s in range(10_000):
+        atoms = lepage.sample_atoms(60000 + s, 20000, 2)
+        for row, alpha in zip(samples, alphas):
+            row[s] = lepage.direct_field(atoms, t, H, alpha)
+    for alpha, xs in zip(alphas, samples):
         est = geometry.estimate_stable_scale(xs, alpha)
         target = fractional_kernel.scale_sigma(t, None, H, alpha)
         dev = abs(est.sigma_hat / target - 1.0)

@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
-from scipy.special import gamma as _gamma_fn
-from scipy.special import roots_jacobi
 
 from .meyer_wavelet import RING_LOWER, RING_UPPER, TAU, envelope
 
@@ -203,6 +200,8 @@ def psi_v_table(v: float, alpha: float, halfwidth: float, step: float = 1.0 / 32
     decay = float(np.max(np.abs(values[far]) * (2.0 + np.abs(y[far])) ** 4)) if far.any() else 0.0
     spot = np.linspace(-halfwidth, halfwidth, 65)
     residual = psi_v_imag_residual(v, alpha, spot, nodes=nodes)
+    from scipy.interpolate import make_interp_spline
+
     table = FractionalTable(
         v=v,
         alpha=alpha,
@@ -304,8 +303,10 @@ def kernel_f(t: object, lam: object, H: object, alpha: float) -> np.ndarray:
 
 def m_sin_alpha(alpha: float) -> float:
     """Mean of |sin|^alpha over a period: Gamma((a+1)/2) / (sqrt(pi) Gamma(a/2+1))."""
+    from scipy.special import gamma
+
     alpha = float(alpha)
-    return float(_gamma_fn((alpha + 1.0) / 2.0) / (np.sqrt(np.pi) * _gamma_fn(alpha / 2.0 + 1.0)))
+    return float(gamma((alpha + 1.0) / 2.0) / (np.sqrt(np.pi) * gamma(alpha / 2.0 + 1.0)))
 
 
 @lru_cache(maxsize=256)
@@ -318,6 +319,8 @@ def kappa(alpha: float, v: float, periods: int = 250) -> float:
     remainder uses the mean of |sin|^alpha plus the first cosine-moment
     correction. Relative accuracy is ~1e-10 over the admissible range.
     """
+    from scipy.special import roots_jacobi
+
     v, alpha = _check_v_alpha(v, alpha)
     beta = alpha * v
     # [0, 1]: weight u^(alpha - beta - 1), smooth remainder (sin u / u)^alpha
@@ -350,11 +353,6 @@ def _point_scale(t: np.ndarray, H: np.ndarray, alpha: float) -> float:
     for tl, hl in zip(t, H):
         acc *= np.abs(tl) ** (alpha * hl) * kappa(alpha, float(hl))
     return float(acc ** (1.0 / alpha))
-
-
-def _phase_mean(alpha: float) -> float:
-    # E |e^{i theta} - 1|^alpha over a uniform phase
-    return 2.0**alpha * m_sin_alpha(alpha)
 
 
 def _axis_panels(coef: float, lam_max: float, nodes_per_panel: int = 16) -> tuple[np.ndarray, np.ndarray]:

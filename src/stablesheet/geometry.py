@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy import stats as _stats
 
 from . import synthesis
 
@@ -447,8 +446,7 @@ def level_set(field: object, x: float, delta: float = None) -> np.ndarray:
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     mask = np.abs(vals - float(x)) < delta
-    mesh = np.meshgrid(*field.axes, indexing="ij")
-    return np.stack([m[mask] for m in mesh], axis=-1)
+    return np.stack([axis[i] for axis, i in zip(field.axes, np.nonzero(mask))], axis=-1)
 
 
 @dataclass
@@ -694,7 +692,9 @@ def localtime_scaling_check(
     scaled_sample = sample_half(
         seed_list[half : 2 * half], scaled_bounds, x_scaled, prefactor
     )
-    ks = _stats.ks_2samp(base_sample, scaled_sample)
+    from scipy import stats  # slow to import, and only this check uses it
+
+    ks = stats.ks_2samp(base_sample, scaled_sample)
     return {
         "H": H_arr.tolist(),
         "alpha": alpha,

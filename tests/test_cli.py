@@ -27,6 +27,14 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
+def fresh_env():
+    """The environment for a fresh interpreter that imports this source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def small_field(seed=42):
     return sy.synthesize(
         (0.5, 0.7), 1.5, sy.TruncationDomain(2, 1.0),
@@ -520,19 +528,40 @@ class TestCliContract:
         assert code == 0
 
     def test_module_entry_point_starts_without_warnings(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "stablesheet.cli", "formula",
              "--hurst", "0.4,0.6", "--d", "1", "--dimF", "0"],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=fresh_env(), timeout=120,
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["value"] == 1.6
+
+    # run in a fresh interpreter: argv[1] is a .zh file, argv[2] a CSV path
+    SCIPY_FREE = (
+        "import contextlib, io, json, sys\n"
+        "import stablesheet, stablesheet.cli as cli\n"
+        "lazy = ('scipy.stats', 'scipy.interpolate', 'scipy.special')\n"
+        "loaded = [[m for m in lazy if m in sys.modules]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['formula', '--hurst', '0.4,0.6', '--d', '1', '--dimF', '0']),\n"
+        "             cli.main(['holder', '--in', sys.argv[1], '--axis', 'all',\n"
+        "                       '--out', sys.argv[2]])]\n"
+        "loaded.append([m for m in lazy if m in sys.modules])\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+    )
+
+    def test_formula_and_holder_load_no_scipy_submodule(self, tmp_path):
+        field = sy.synthesize((0.5, 0.5), 2.0, sy.TruncationDomain(1, 1.0),
+                              (((0.05, 0.95), (0.05, 0.95)), (256, 256)), 1)
+        path = str(tmp_path / "f.zh")
+        fieldio.write_field(field, path)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCIPY_FREE, path, str(tmp_path / "h.csv")],
+            capture_output=True, text=True, env=fresh_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"codes": [0, 0], "loaded": [[], []]}
 
 
 class TestFuzzedFieldFile:

@@ -217,6 +217,19 @@ class TestLevelSet:
         with pytest.raises(ValueError):
             ge.level_set(f, 0.0, delta=0.0)
 
+    def test_non_square_grid_matches_meshgrid_selection(self):
+        f = sy.synthesize(
+            (0.5, 0.7), 2.0, sy.TruncationDomain(2, 1.0),
+            (((0.0, 0.9), (0.1, 0.5)), (24, 9)), 21,
+        )
+        delta = 0.5 * float(np.std(f.component(0)))
+        mask = np.abs(f.component(0) - 0.1) < delta
+        mesh = np.meshgrid(*f.axes, indexing="ij")
+        want = np.stack([m[mask] for m in mesh], axis=-1)
+        pts = ge.level_set(f, 0.1, delta=delta)
+        assert 0 < len(want) < mask.size
+        assert pts.dtype == want.dtype and np.array_equal(pts, want)
+
 
 class TestBoxCountDimension:
     def test_full_grid_recovers_ambient_dimension(self):

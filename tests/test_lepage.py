@@ -73,10 +73,11 @@ class TestSampleAtoms:
 class TestPhiDensity:
     def test_matches_product_closed_form(self):
         rng = np.random.default_rng(91)
-        pts = rng.uniform(-30.0, 30.0, (50, 2))
-        expected = np.prod(0.25 * (1.0 + np.abs(pts)) ** -1.5, axis=1)
-        got = lp.phi_density(pts, theta=0.5)
-        assert np.allclose(got, expected, rtol=1e-14)
+        for N in (1, 2, 3):
+            pts = rng.uniform(-30.0, 30.0, (50, N))
+            expected = np.prod(0.25 * (1.0 + np.abs(pts)) ** -1.5, axis=1)
+            got = lp.phi_density(pts, theta=0.5)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
     def test_scalar_point_returns_float(self):
         val = lp.phi_density(np.array([1.0, 2.0]))

@@ -1,6 +1,7 @@
 """Tests for truncated wavelet synthesis on grids."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -296,6 +297,38 @@ class TestDeterminism:
                 digests[name, threads] = hashlib.sha256(out.read_bytes()).hexdigest()
         for name in argvs:
             assert digests[name, "1"] == digests[name, "2"]
+
+    # a fresh interpreter: scipy's OpenBLAS loads between two one_thread blocks
+    LATE_BLAS = (
+        "import ctypes, json\n"
+        "from stablesheet import _blas\n"
+        "with _blas.one_thread():\n"
+        "    pass\n"
+        "import scipy.interpolate\n"
+        "with _blas.one_thread():\n"
+        "    counts = {}\n"
+        "    for line in open('/proc/self/maps'):\n"
+        "        path = line.split()[-1]\n"
+        "        if 'openblas' not in path.lower() or path in counts:\n"
+        "            continue\n"
+        "        lib = ctypes.CDLL(path)\n"
+        "        for symbol in _blas._SYMBOLS:\n"
+        "            get = getattr(lib, symbol.format('get'), None)\n"
+        "            if get is not None:\n"
+        "                get.restype, get.argtypes = ctypes.c_int, []\n"
+        "                counts[path] = get()\n"
+        "                break\n"
+        "print(json.dumps(counts))\n"
+    )
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+    def test_one_thread_covers_blas_loaded_after_its_first_use(self):
+        env = dict(_subprocess_env(), OPENBLAS_NUM_THREADS="2")
+        proc = subprocess.run([sys.executable, "-c", self.LATE_BLAS], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout)
+        assert counts and set(counts.values()) == {1}, counts
 
     def test_components_use_independent_streams(self):
         trunc = sy.TruncationDomain(1, 1.0)
