@@ -29,7 +29,7 @@ from .geometry import (
 )
 from .synthesis import FieldGrid, TruncationDomain, grid_axes, synthesize
 
-__version__ = "0.1.0"
+__version__ = synthesis.VERSION
 
 
 def __getattr__(name: str):

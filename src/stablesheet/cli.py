@@ -46,6 +46,12 @@ def _ints(value) -> list:
     return [int(p) for p in value]
 
 
+def _hurst(value) -> list:
+    hurst = _floats(value)
+    fractional_kernel.check_hurst(hurst)
+    return hurst
+
+
 def _shape(value) -> tuple:
     if isinstance(value, str):
         return tuple(int(p) for p in value.lower().split("x"))
@@ -381,7 +387,7 @@ def _report(o: dict, run: str) -> dict:
 
 _SEED = Flag("seed", int)
 _ALPHA = Flag("alpha", float)
-_HURST = Flag("hurst", _floats)
+_HURST = Flag("hurst", _hurst)
 _IN = Flag("in", _paths)
 _OUT = Flag("out")
 _COMMON = (

@@ -88,6 +88,14 @@ def _envelope_bytes(magic: bytes, header: dict, payload: bytes) -> bytes:
     return magic + struct.pack("<I", len(raw)) + raw + payload
 
 
+def _parse(path: str, what: str, parse):
+    """parse(), with a missing or malformed header value reported as a FieldFormatError."""
+    try:
+        return parse()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FieldFormatError(f"{path}: unreadable {what} ({exc})") from exc
+
+
 def _read_envelope(path: str, magic: bytes):
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -108,7 +116,7 @@ def _read_envelope(path: str, magic: bytes):
         raise FieldFormatError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict):
         raise FieldFormatError(f"{path}: header is not a JSON object")
-    version = int(header.get("format_version", 0))
+    version = _parse(path, "format_version", lambda: int(header.get("format_version", 0)))
     if version > FORMAT_VERSION:
         raise VersionMismatchError(
             f"{path}: format revision {version} is newer than supported "
@@ -148,20 +156,16 @@ def read_field(path: str) -> synthesis.FieldGrid:
     if not isinstance(meta, dict):
         raise FieldFormatError(f"{path}: header lacks a meta object")
     if "axes" in header:
-        axes = tuple(
+        axes = _parse(path, "axes", lambda: tuple(
             np.array([float(x) for x in ax], dtype=float) for ax in header["axes"]
-        )
+        ))
         shape = tuple(len(ax) for ax in axes)
     else:
-        try:
-            bounds = tuple(tuple(b) for b in meta["bounds"])
-            shape = tuple(int(s) for s in meta["shape"])
-        except (KeyError, TypeError) as exc:
-            raise FieldFormatError(
-                f"{path}: header declares neither axes nor bounds/shape"
-            ) from exc
+        bounds, shape = _parse(path, "axes or bounds/shape", lambda: (
+            tuple(tuple(b) for b in meta["bounds"]), tuple(int(s) for s in meta["shape"])
+        ))
         axes = None  # built once the payload is known to hold the shape
-    components = int(meta.get("components", 1))
+    components = _parse(path, "components", lambda: int(meta.get("components", 1)))
     if components < 1:
         raise FieldFormatError(f"{path}: header declares {components} components")
     expected = components * math.prod(shape) * 8
@@ -215,11 +219,9 @@ def write_coefficients(
 def read_coefficients(path: str):
     """Read a ZHCOEFF1 file -> (header, {(j1, j2): block complex64 array})."""
     header, payload = _read_envelope(path, COEFF_MAGIC)
-    try:
-        k_cap = int(header["k_cap"])
-        j_list = [tuple(int(j) for j in pair) for pair in header["blocks"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FieldFormatError(f"{path}: malformed coefficient header") from exc
+    k_cap, j_list = _parse(path, "coefficient header", lambda: (
+        int(header["k_cap"]), [tuple(int(j) for j in pair) for pair in header["blocks"]]
+    ))
     side = 2 * k_cap + 1
     per_block = side * side * 8
     if len(payload) < per_block * len(j_list):

@@ -15,32 +15,47 @@ from functools import lru_cache
 
 import numpy as np
 
-from .meyer_wavelet import RING_LOWER, RING_UPPER, TAU, envelope
+from .meyer_wavelet import RING_LOWER, RING_UPPER, TAU, check_alpha, envelope, gl_nodes
 
 _SUPPORT = ((RING_LOWER, 2.0 * RING_LOWER), (2.0 * RING_LOWER, RING_UPPER))
 _Y_CHUNK = 2048
+_TABLE_STEP = 1.0 / 32.0  # psi_v table spacing (see psi_v_table)
+# w_decay_constants: the point of the nonnegative scales, the grid of the negative ones
+_DECAY_X = 0.3
+_DECAY_X_GRID = np.linspace(-1.0, 1.0, 21)
+_PANEL_NODES = 16  # Gauss nodes per panel of _axis_panels
+_LAM_MAX = 1000.0  # half-width of the quadrature box of _increment_scale_quad2
+# parseval_residual: halfwidth M, point x, frequency window and its sample count, at alpha = 2
+_PARSEVAL_M = 1.0
+_PARSEVAL_X = 0.3
+_PARSEVAL_WINDOW = (0.10, 150.0)
+_PARSEVAL_NUM_XI = 6001
+_PARSEVAL_ALPHA = 2.0
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # one eigenvalue solve per node count, shared by every interval
-    return np.polynomial.legendre.leggauss(n)
+def check_hurst(H: object) -> np.ndarray:
+    """H as a 1-D float array, or ValueError unless it is nonempty in (0, 1)^N."""
+    H_arr = np.asarray(H, dtype=float).reshape(-1)
+    if H_arr.size == 0 or np.any((H_arr <= 0.0) | (H_arr >= 1.0)):
+        raise ValueError("H components must lie in (0, 1)")
+    return H_arr
 
 
-@lru_cache(maxsize=128)
-def _gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _leggauss(int(n))
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+def translation_cap(n: int, M: float) -> int:
+    """Largest translation |k| of the series window at level n >= 0, halfwidth M > 0.
+
+    The window holds the scales j <= n and the translations |k| <= floor(M 2^(n+1)).
+    """
+    if n < 0 or M <= 0.0:
+        raise ValueError("the series window needs n >= 0 and M > 0")
+    return int(math.floor(M * 2.0 ** (n + 1)))
 
 
 def _check_v_alpha(v: float, alpha: float) -> tuple[float, float]:
-    v, alpha = float(v), float(alpha)
+    v = float(v)
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0, 1), got {v}")
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    return v, alpha
+    return v, check_alpha(alpha)
 
 
 def progression_phases(start: float, step: float, count: int, freq: object) -> tuple:
@@ -62,6 +77,13 @@ def progression_phases(start: float, step: float, count: int, freq: object) -> t
 def quad_nodes_for(max_abs_y: float) -> int:
     """Node count resolving e^{i y eta} on the wavelet support up to |y|."""
     return max(400, int(math.ceil(1.15 * float(max_abs_y))) + 150)
+
+
+def _psi_v_weights(v: float, alpha: float, a: float, b: float, nodes: int) -> tuple:
+    # Gauss nodes eta on [a, b], and the weights of e^{i (y + 1/2) eta} in psi_v(y):
+    # w envelope(eta) / sqrt(2 pi) eta^(-v - 1/alpha)
+    eta, w = gl_nodes(a, b, nodes)
+    return eta, w * envelope(eta) / np.sqrt(TAU) * eta ** (-v - 1.0 / alpha)
 
 
 def psi_v_values(
@@ -86,8 +108,7 @@ def psi_v_values(
         nodes = quad_nodes_for(np.max(np.abs(flat)) if flat.size else 0.0)
     res = np.zeros(flat.shape, dtype=float)
     for a, b in _SUPPORT:
-        eta, w = _gl_nodes(a, b, nodes)
-        amp = w * envelope(eta) / np.sqrt(TAU) * eta ** (-v - 1.0 / alpha)
+        eta, amp = _psi_v_weights(v, alpha, a, b, nodes)
         if derivative:
             amp = amp * eta
         for start in range(0, flat.size, _Y_CHUNK):
@@ -113,7 +134,7 @@ def psi_v_imag_residual(v: float, alpha: float, y: object, nodes: int | None = N
     total = np.zeros(arr.shape, dtype=complex)
     for a, b in _SUPPORT:
         for lo, hi in ((a, b), (-b, -a)):
-            eta, w = _gl_nodes(lo, hi, nodes)
+            eta, w = gl_nodes(lo, hi, nodes)
             amp = (
                 w
                 * envelope(eta)
@@ -136,8 +157,7 @@ def _psi_v_progression(v: float, alpha: float, y0: float, step: float, count: in
     """
     res = np.zeros(int(count), dtype=float)
     for a, b in _SUPPORT:
-        eta, w = _gl_nodes(a, b, nodes)
-        amp = w * envelope(eta) / np.sqrt(TAU) * eta ** (-v - 1.0 / alpha)
+        eta, amp = _psi_v_weights(v, alpha, a, b, nodes)
         coarse, fine = progression_phases(y0 + 0.5, step, count, eta)
         basis = np.concatenate([fine.real, fine.imag], axis=1)
         heads = np.concatenate([amp * coarse.real, -amp * coarse.imag], axis=1)
@@ -182,16 +202,16 @@ class FractionalTable:
         return psi_v_values(self.v, self.alpha, y, derivative=True)
 
 
-def psi_v_table(v: float, alpha: float, halfwidth: float, step: float = 1.0 / 32.0) -> FractionalTable:
+def psi_v_table(v: float, alpha: float, halfwidth: float) -> FractionalTable:
     """Tabulate psi_v on [-halfwidth, halfwidth] with quintic spline interpolation.
 
     Step 1/32 with a quintic spline keeps the interpolation error below 1e-8
     against direct quadrature (a cubic spline does not reach that bound).
     """
     v, alpha = _check_v_alpha(v, alpha)
-    halfwidth, step = float(halfwidth), float(step)
-    if halfwidth <= 0 or step <= 0:
-        raise ValueError("halfwidth and step must be positive")
+    halfwidth, step = float(halfwidth), _TABLE_STEP
+    if halfwidth <= 0:
+        raise ValueError("halfwidth must be positive")
     npts = int(round(2.0 * halfwidth / step)) + 1
     y = -halfwidth + step * np.arange(npts)
     nodes = quad_nodes_for(halfwidth)
@@ -217,12 +237,15 @@ def psi_v_table(v: float, alpha: float, halfwidth: float, step: float = 1.0 / 32
 
 
 @lru_cache(maxsize=32)
-def table_for(v: float, alpha: float, n: int, M: float, step: float = 1.0 / 32.0) -> FractionalTable:
+def table_for(v: float, alpha: float, n: int, M: float) -> FractionalTable:
     """Table sized for truncation level n, halfwidth M: every argument
     2^j x - k with |j| <= n, |k| <= M 2^(n+1), |x| <= M lands in-domain."""
-    need = 3.0 * float(M) * 2.0 ** int(n) + 64.0
-    halfwidth = 64.0 * math.ceil(need / 64.0)
-    return psi_v_table(float(v), float(alpha), halfwidth, float(step))
+    return _table_covering(float(v), float(alpha), 3.0 * float(M) * 2.0 ** int(n) + 64.0)
+
+
+def _table_covering(v: float, alpha: float, need: float) -> FractionalTable:
+    # the psi_v table whose halfwidth is the first multiple of 64 at or above need
+    return psi_v_table(v, alpha, 64.0 * math.ceil(need / 64.0))
 
 
 def w_coeff(table: FractionalTable, j: int, k: object, x: object) -> np.ndarray:
@@ -237,25 +260,18 @@ def w_coeff(table: FractionalTable, j: int, k: object, x: object) -> np.ndarray:
     return 2.0 ** (-j * table.v) * (table.psi(np.ldexp(x_arr, j) - k_arr) - table.psi(-k_arr))
 
 
-def w_decay_constants(
-    v: float,
-    alpha: float,
-    j_max: int,
-    k_max: int,
-    x: float = 0.3,
-    x_grid: np.ndarray | None = None,
-) -> dict:
+def w_decay_constants(v: float, alpha: float, j_max: int, k_max: int) -> dict:
     """Fitted constants for the two-sided decay envelopes of the series factors.
 
     Nonnegative scales j: |w| <= c * 2^(-j v) [(2+|2^j x-k|)^-4 + (2+|k|)^-4].
     Negative scales j <= -1, |x| <= 1: |w| <= c' * 2^((1-v) j) (2+|k|)^-4.
+    The first is scanned at x = _DECAY_X, the second over _DECAY_X_GRID.
     Returns the max ratios; finiteness and stability under scan doubling are
     what the tests assert.
     """
     v, alpha = _check_v_alpha(v, alpha)
-    need = (2.0 ** j_max) * abs(x) + k_max + 16.0
-    halfwidth = 64.0 * math.ceil(need / 64.0)
-    table = psi_v_table(v, alpha, halfwidth)
+    x = _DECAY_X
+    table = _table_covering(v, alpha, (2.0 ** j_max) * abs(x) + k_max + 16.0)
     ks = np.arange(-k_max, k_max + 1, dtype=float)
     c_pos = 0.0
     for j in range(0, j_max + 1):
@@ -264,25 +280,25 @@ def w_decay_constants(
             (2.0 + np.abs(np.ldexp(x, j) - ks)) ** -4.0 + (2.0 + np.abs(ks)) ** -4.0
         )
         c_pos = max(c_pos, float(np.max(np.abs(w) / bound)))
-    if x_grid is None:
-        x_grid = np.linspace(-1.0, 1.0, 21)
     c_neg = 0.0
     for j in range(-1, -j_max - 1, -1):
         bound = 2.0 ** ((1.0 - v) * j) * (2.0 + np.abs(ks)) ** -4.0
-        for xv in x_grid:
+        for xv in _DECAY_X_GRID:
             w = w_coeff(table, j, ks, float(xv))
             c_neg = max(c_neg, float(np.max(np.abs(w) / bound)))
     return {"v": v, "alpha": alpha, "j_max": j_max, "k_max": k_max, "c_pos": c_pos, "c_neg": c_neg}
 
 
-def kernel_axis(a: float, lam: object, v: float, alpha: float) -> np.ndarray:
-    """One-axis kernel factor (e^{i a lam} - 1) |lam|^(-v - 1/alpha), zero at lam = 0."""
-    lam_arr = np.asarray(lam, dtype=float)
-    nz = lam_arr != 0.0
-    out = np.zeros(np.shape(lam_arr), dtype=complex)
-    lam_nz = lam_arr[nz]
-    out[nz] = (np.exp(1j * a * lam_nz) - 1.0) * np.abs(lam_nz) ** (-(v + 1.0 / alpha))
-    return out
+def kernel_axis(t: object, lam: object, v: float, alpha: float) -> np.ndarray:
+    """One-axis kernel factor (e^{i t lam} - 1) |lam|^(-v - 1/alpha), zero at lam = 0.
+
+    A scalar t gives an array shaped like lam; a 1-D array of t gives one row
+    per t.
+    """
+    lam = np.asarray(lam, dtype=float)
+    # zero frequencies carry no mass: inf^(-p) collapses the factor to 0 exactly
+    mag = np.where(lam == 0.0, np.inf, np.abs(lam)) ** (-(v + 1.0 / alpha))
+    return (np.exp(1j * np.multiply.outer(t, lam)) - 1.0) * mag
 
 
 def kernel_f(t: object, lam: object, H: object, alpha: float) -> np.ndarray:
@@ -290,15 +306,10 @@ def kernel_f(t: object, lam: object, H: object, alpha: float) -> np.ndarray:
     t_arr = np.asarray(t, dtype=float).reshape(-1)
     H_arr = np.asarray(H, dtype=float).reshape(-1)
     lam_arr = np.asarray(lam, dtype=float)
-    if lam_arr.ndim == 1:
-        lam_arr = lam_arr[None, :]
-        squeeze = True
-    else:
-        squeeze = False
     out = np.ones(lam_arr.shape[:-1], dtype=complex)
     for axis in range(t_arr.size):
         out *= kernel_axis(t_arr[axis], lam_arr[..., axis], H_arr[axis], alpha)
-    return out[0] if squeeze else out
+    return out[()]
 
 
 def m_sin_alpha(alpha: float) -> float:
@@ -328,10 +339,10 @@ def kappa(alpha: float, v: float, periods: int = 250) -> float:
     u = 0.5 * (xj + 1.0)
     total = float(np.sum(wj * (np.sin(u) / u) ** alpha)) * 0.5 ** (alpha - beta)
     # [1, pi]
-    x, w = _gl_nodes(1.0, np.pi, 64)
+    x, w = gl_nodes(1.0, np.pi, 64)
     total += float(np.sum(w * np.abs(np.sin(x)) ** alpha * x ** (-beta - 1.0)))
     # half-periods [k pi, (k+1) pi], k = 1 .. periods-1
-    xg, wg = np.polynomial.legendre.leggauss(32)
+    xg, wg = gl_nodes(-1.0, 1.0, 32)
     ks = np.arange(1, periods)
     u0 = ks[:, None] * np.pi + 0.5 * np.pi * (xg[None, :] + 1.0)
     w0 = 0.5 * np.pi * wg[None, :]
@@ -339,7 +350,7 @@ def kappa(alpha: float, v: float, periods: int = 250) -> float:
     # analytic remainder beyond T = periods * pi; the boundary terms vanish
     # because sin(2 m T) = 0 and cos(2 m T) = 1 there
     T = periods * np.pi
-    x, w = _gl_nodes(0.0, np.pi, 256)
+    x, w = gl_nodes(0.0, np.pi, 256)
     su = np.sin(x) ** alpha
     ms = np.arange(1, 61)
     am = (2.0 / np.pi) * np.sum(w[None, :] * su[None, :] * np.cos(2.0 * ms[:, None] * x[None, :]), axis=1)
@@ -355,12 +366,12 @@ def _point_scale(t: np.ndarray, H: np.ndarray, alpha: float) -> float:
     return float(acc ** (1.0 / alpha))
 
 
-def _axis_panels(coef: float, lam_max: float, nodes_per_panel: int = 16) -> tuple[np.ndarray, np.ndarray]:
+def _axis_panels(coef: float, lam_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Panelized Gauss nodes on [-lam_max, lam_max] resolving e^{i coef lam}.
 
     The mesh is geometrically refined toward 0 so the integrable power
     singularity of the kernel there is captured, then uniform with one
-    oscillation period per panel.
+    oscillation period per panel, each with _PANEL_NODES Gauss nodes.
     """
     width = min(4.0, TAU / max(coef, 0.5))
     graded = width * 2.0 ** -np.arange(24, -1, -1, dtype=float)
@@ -369,7 +380,7 @@ def _axis_panels(coef: float, lam_max: float, nodes_per_panel: int = 16) -> tupl
     edges = edges[edges <= lam_max]
     if edges[-1] < lam_max:
         edges = np.append(edges, lam_max)
-    xg, wg = np.polynomial.legendre.leggauss(nodes_per_panel)
+    xg, wg = gl_nodes(-1.0, 1.0, _PANEL_NODES)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     pos = (mid[:, None] + half[:, None] * xg[None, :]).reshape(-1)
@@ -428,13 +439,14 @@ def _corner_mean(t: np.ndarray, s: np.ndarray, alpha: float) -> float:
     return float(np.mean(np.abs(diff) ** alpha))
 
 
-def _increment_scale_quad2(
-    t: np.ndarray, s: np.ndarray, H: np.ndarray, alpha: float, lam_max: float = 1000.0
-) -> float:
-    """||F(t,.) - F(s,.)||_alpha for N = 2 by tensor quadrature plus tail means."""
+def _increment_scale_quad2(t: np.ndarray, s: np.ndarray, H: np.ndarray, alpha: float) -> float:
+    """||F(t,.) - F(s,.)||_alpha for N = 2 by tensor quadrature plus tail means.
+
+    The quadrature box is |lam_l| <= _LAM_MAX; the tail means cover the rest.
+    """
     v1, v2 = float(H[0]), float(H[1])
-    lam1, w1 = _axis_panels(max(abs(t[0]), abs(s[0])), lam_max)
-    lam2, w2 = _axis_panels(max(abs(t[1]), abs(s[1])), lam_max)
+    lam1, w1 = _axis_panels(max(abs(t[0]), abs(s[0])), _LAM_MAX)
+    lam2, w2 = _axis_panels(max(abs(t[1]), abs(s[1])), _LAM_MAX)
     f_t1 = kernel_axis(t[0], lam1, v1, alpha)
     f_s1 = kernel_axis(s[0], lam1, v1, alpha)
     f_t2 = kernel_axis(t[1], lam2, v2, alpha)
@@ -446,8 +458,8 @@ def _increment_scale_quad2(
         diff = f_t1[sel, None] * f_t2[None, :] - f_s1[sel, None] * f_s2[None, :]
         total += float(w1[sel] @ (np.abs(diff) ** alpha) @ w2)
     # strips where one axis has left the quadrature box
-    rad1 = _tail_radial(v1, alpha, lam_max)
-    rad2 = _tail_radial(v2, alpha, lam_max)
+    rad1 = _tail_radial(v1, alpha, _LAM_MAX)
+    rad2 = _tail_radial(v2, alpha, _LAM_MAX)
     strip1 = rad1 * float(w2 @ _strip_mean(t[0], s[0], f_t2, f_s2, alpha))
     strip2 = rad2 * float(w1 @ _strip_mean(t[1], s[1], f_t1, f_s1, alpha))
     corner = rad1 * rad2 * _corner_mean(t, s, alpha)
@@ -475,15 +487,11 @@ def scale_sigma(t: object, s: object, H: object, alpha: float) -> float:
     Uses the product closed form for point scales and single-axis increments,
     and 2-D quadrature for general increments (N = 2 only).
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    alpha = check_alpha(alpha)
     t_arr = np.asarray(t, dtype=float).reshape(-1)
-    H_arr = np.asarray(H, dtype=float).reshape(-1)
+    H_arr = check_hurst(H)
     if t_arr.size != H_arr.size:
         raise ValueError("t and H must have the same length")
-    if np.any((H_arr <= 0.0) | (H_arr >= 1.0)):
-        raise ValueError("H components must lie in (0, 1)")
     if s is None:
         s_arr = np.zeros_like(t_arr)
     else:
@@ -515,33 +523,25 @@ def scale_sigma(t: object, s: object, H: object, alpha: float) -> float:
     return _increment_scale_quad2(t_arr, s_arr, H_arr, alpha)
 
 
-def parseval_residual(
-    v: float,
-    n_list: object,
-    M: float = 1.0,
-    x: float = 0.3,
-    window: tuple[float, float] = (0.10, 150.0),
-    num_xi: int = 6001,
-    alpha: float = 2.0,
-) -> dict:
+def parseval_residual(v: float, n_list: object) -> dict:
     """Relative L2 residual of the truncated frequency-side reconstruction.
 
     Compares sum over the truncation domain of w-factor times the conjugate
     dilated wavelet against the one-axis kernel on a frequency window, per
-    truncation level n. The residual must fall as n grows.
+    truncation level n. The residual must fall as n grows. Point, halfwidth,
+    window and alpha are the _PARSEVAL_* constants.
     """
-    v, alpha = _check_v_alpha(v, alpha)
+    v, alpha = _check_v_alpha(v, _PARSEVAL_ALPHA)
+    M, x, window = _PARSEVAL_M, _PARSEVAL_X, _PARSEVAL_WINDOW
     n_list = [int(n) for n in n_list]
     n_max = max(n_list)
-    need = (2.0 ** n_max) * abs(x) + M * 2.0 ** (n_max + 1) + 16.0
-    halfwidth = 64.0 * math.ceil(need / 64.0)
-    table = psi_v_table(v, alpha, halfwidth)
-    xi = np.linspace(window[0], window[1], num_xi)
+    table = _table_covering(v, alpha, (2.0 ** n_max) * abs(x) + M * 2.0 ** (n_max + 1) + 16.0)
+    xi = np.linspace(window[0], window[1], _PARSEVAL_NUM_XI)
     target = kernel_axis(x, xi, v, alpha)
     norm = float(np.sqrt(np.sum(np.abs(target) ** 2)))
     residuals = {}
     for n in n_list:
-        k_cap = int(math.floor(M * 2.0 ** (n + 1)))
+        k_cap = translation_cap(n, M)
         ks = np.arange(-k_cap, k_cap + 1, dtype=float)
         approx = np.zeros(xi.shape, dtype=complex)
         for j in range(-n, n + 1):

@@ -14,10 +14,30 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import synthesis
+from .fractional_kernel import check_hurst
+from .meyer_wavelet import check_alpha
 
 _ECF_WINDOW = (0.2, 0.9)
 _MIN_SAMPLES = 1000
 _MIN_ENSEMBLE = 1000
+_ENVELOPE_LEVELS = 4  # dyadic lag levels of holder_envelope_report
+_MIN_CUBE_POINTS = 4  # grid points per axis a local-time cube needs
+
+
+def _meta_hurst_alpha(field: object) -> tuple:
+    """The Hurst vector and alpha a field's meta records, or a ValueError naming the bad key."""
+    key = "H"
+    try:
+        H = tuple(float(h) for h in field.meta[key])
+        key = "alpha"
+        return H, float(field.meta[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"field meta has no usable {key!r} ({exc!r})") from exc
+
+
+def _cell_volume(axes: tuple) -> float:
+    """Volume of one grid cell: the product of the axis steps."""
+    return float(np.prod(synthesis.grid_steps(axes)))
 
 
 # --- anisotropic metric --------------------------------------------------------
@@ -31,16 +51,6 @@ def rho(s: object, t: object, H: object) -> float:
     if not (s_arr.size == t_arr.size == H_arr.size):
         raise ValueError("s, t, and H must have the same length")
     return float(np.sum(np.abs(s_arr - t_arr) ** H_arr))
-
-
-@dataclass(frozen=True)
-class AnisotropicMetric:
-    """The distance in which increments of the sheet have comparable scale."""
-
-    H: tuple
-
-    def distance(self, s: object, t: object) -> float:
-        return rho(s, t, self.H)
 
 
 # --- stable scale from the empirical characteristic function -------------------
@@ -73,9 +83,7 @@ def estimate_stable_scale(samples: object, alpha: float) -> StableScaleEstimate:
     flat region and the noise floor. The residual is the RMS misfit of
     -log|ecf| relative to its RMS over the fitted grid.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    alpha = check_alpha(alpha)
     arr = np.asarray(samples, dtype=float).reshape(-1)
     if arr.size < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {arr.size}")
@@ -110,13 +118,14 @@ def estimate_stable_scale(samples: object, alpha: float) -> StableScaleEstimate:
     return StableScaleEstimate(power ** (1.0 / alpha), alpha, residual, us)
 
 
-def scale_comparability_report(fields: object, pairs: object, alpha: float = None) -> dict:
+def scale_comparability_report(fields: object, pairs: object) -> dict:
     """Increment scales across an ensemble, compared with the anisotropic metric.
 
     For each pair (s, t) the scale of Z(s) - Z(t) is fitted across the
     ensemble and divided by rho(s, t). The report records the ratio per pair
     and the spread max/min; theory promises comparability (bounded spread),
-    with no universal constant to assert.
+    with no universal constant to assert. H and alpha are read from the
+    first field's meta.
     """
     field_list = list(fields)
     if len(field_list) < _MIN_ENSEMBLE:
@@ -124,9 +133,7 @@ def scale_comparability_report(fields: object, pairs: object, alpha: float = Non
             f"need an ensemble of at least {_MIN_ENSEMBLE} fields, got {len(field_list)}"
         )
     first = field_list[0]
-    H = tuple(float(h) for h in first.meta["H"])
-    if alpha is None:
-        alpha = float(first.meta["alpha"])
+    H, alpha = _meta_hurst_alpha(first)
     axes = first.axes
     pair_list = []
     for s, t in pairs:
@@ -202,21 +209,22 @@ def holder_axis_exponent(field: object, axis: int) -> float:
     return slope
 
 
-def holder_envelope_report(fields: object, H: object, alpha: float, levels: int = 4) -> dict:
+def holder_envelope_report(fields: object, H: object, alpha: float) -> dict:
     """Empirical modulus-of-continuity envelope over shrinking dyadic lags.
 
-    At each lag level the statistic is the max over the ensemble and over grid
-    pairs of |Z(s) - Z(t)| / [rho |log rho|^(1/alpha + 0.1)]; the theory's
-    vanishing modulus implies the envelope should not grow as lags shrink.
+    At each of up to _ENVELOPE_LEVELS lag levels the statistic is the max over
+    the ensemble and over grid pairs of |Z(s) - Z(t)| / [rho |log rho|^(1/alpha
+    + 0.1)]; the theory's vanishing modulus implies the envelope should not
+    grow as lags shrink.
     """
     field_list = list(fields)
     H_arr = np.asarray(H, dtype=float).reshape(-1)
     alpha = float(alpha)
     first = field_list[0]
-    steps = [float(a[1] - a[0]) for a in first.axes]
+    steps = synthesis.grid_steps(first.axes)
     size = min(a.size for a in first.axes)
     max_level = int(math.floor(math.log2(size - 1))) - 1
-    use_levels = min(int(levels), max_level)
+    use_levels = min(_ENVELOPE_LEVELS, max_level)
     if use_levels < 2:
         raise ValueError("grid too small for an envelope scan")
     exponent = 1.0 / alpha + 0.1
@@ -260,11 +268,7 @@ class OccupationDensity:
 
     @property
     def bin_volumes(self) -> np.ndarray:
-        widths = [np.diff(e) for e in self.bin_edges]
-        vol = widths[0]
-        for w in widths[1:]:
-            vol = np.multiply.outer(vol, w)
-        return vol
+        return _bin_volumes(self.bin_edges)
 
     @property
     def lebesgue_total(self) -> float:
@@ -283,6 +287,15 @@ class OccupationDensity:
         return float(self.density[tuple(idx)])
 
 
+def _bin_volumes(edges: list) -> np.ndarray:
+    """Volume of every histogram bin: the outer product of the edge widths."""
+    widths = [np.diff(e) for e in edges]
+    vol = widths[0]
+    for w in widths[1:]:
+        vol = np.multiply.outer(vol, w)
+    return vol
+
+
 def _region_selection(field: object, region: object) -> tuple:
     bounds = np.asarray(region, dtype=float)
     if bounds.ndim == 1:
@@ -297,9 +310,7 @@ def _region_selection(field: object, region: object) -> tuple:
     if any(not m.any() for m in masks):
         raise ValueError("region contains no grid points")
     sel = field.values[(slice(None),) + np.ix_(*masks)]
-    steps = [float(a[1] - a[0]) if a.size > 1 else 1.0 for a in field.axes]
-    cell_volume = float(np.prod(steps))
-    return sel, cell_volume, bounds
+    return sel, _cell_volume(field.axes), bounds
 
 
 def occupation_density(field: object, region: object, bins: int = 64) -> OccupationDensity:
@@ -315,11 +326,7 @@ def occupation_density(field: object, region: object, bins: int = 64) -> Occupat
         raise ValueError("occupation densities support at most 3 components")
     pts = sel.reshape(d, -1).T
     counts, edges = np.histogramdd(pts, bins=int(bins))
-    widths = [np.diff(e) for e in edges]
-    bin_volume = widths[0]
-    for w in widths[1:]:
-        bin_volume = np.multiply.outer(bin_volume, w)
-    density = counts * cell_volume / bin_volume
+    density = counts * cell_volume / _bin_volumes(edges)
     return OccupationDensity(
         region=tuple(map(tuple, bounds)),
         bin_edges=[np.asarray(e) for e in edges],
@@ -361,7 +368,6 @@ def localtime_holder_report(
     x: object,
     corner: object,
     r_values: object,
-    min_points: int = 4,
 ) -> dict:
     """Growth of the maximal local time over shrinking cubes at one corner.
 
@@ -369,12 +375,12 @@ def localtime_holder_report(
     max_x L(x, I_r) = O(r^S) with S = sum of per-axis exponents
     (1 - H_l d / p_l for l <= tau, else 1) under the equal split p_l = tau.
     The fitted log-log slope must reach the (1 - eps)-degraded prediction:
-    slope >= 0.9 S - 0.2.
+    slope >= 0.9 S - 0.2. A cube needs _MIN_CUBE_POINTS grid points per axis.
+    H and alpha are read from the first field's meta.
     """
     field_list = list(fields)
     first = field_list[0]
-    H = tuple(float(h) for h in first.meta["H"])
-    alpha = float(first.meta["alpha"])
+    H, alpha = _meta_hurst_alpha(first)
     if not 1.0 <= alpha <= 2.0:
         raise ValueError("local-time theory needs alpha in [1, 2]")
     d = first.component_count
@@ -393,7 +399,7 @@ def localtime_holder_report(
             per_field = []
             for f in field_list:
                 sel, cell_volume, _ = _region_selection(f, region)
-                if min(sel.shape[1:]) < min_points:
+                if min(sel.shape[1:]) < _MIN_CUBE_POINTS:
                     raise ValueError("region too small")
                 width = _median_increment(sel[0])
                 if width == 0.0:
@@ -481,14 +487,11 @@ def box_count_dimension(
     hi = bounds_arr[:, 1]
     if np.any(pts < lo - 1e-12) or np.any(pts > hi + 1e-12):
         raise ValueError("points must lie inside bounds")
-    if isinstance(metric, AnisotropicMetric):
-        H_arr = np.asarray(metric.H, dtype=float)
-        metric_name = "rho"
-    elif isinstance(metric, str) and metric == "euclidean":
+    if isinstance(metric, str) and metric == "euclidean":
         H_arr = None
         metric_name = "euclidean"
     else:
-        H_arr = np.asarray(metric, dtype=float).reshape(-1)
+        H_arr = check_hurst(metric)
         if H_arr.size != N:
             raise ValueError("metric must be 'euclidean' or a Hurst vector")
         metric_name = "rho"
@@ -535,11 +538,17 @@ def box_count_dimension(
 # --- dimension formulas ----------------------------------------------------------
 
 
-def _check_hurst_vector(H: object) -> np.ndarray:
-    H_arr = np.sort(np.asarray(H, dtype=float).reshape(-1))
-    if H_arr.size == 0 or np.any((H_arr <= 0.0) | (H_arr >= 1.0)):
-        raise ValueError("H components must lie in (0, 1)")
-    return H_arr
+def _sandwich_index(inv_cumsum: np.ndarray, deficit: float) -> object:
+    """The k with sum_(j<k) 1/H_j <= deficit < sum_(j<=k) 1/H_j, or None.
+
+    inv_cumsum is the cumulative sum of 1/H over the ascending Hurst vector.
+    """
+    below = 0.0
+    for k, total in enumerate(inv_cumsum, start=1):
+        if below <= deficit < total:
+            return k
+        below = total
+    return None
 
 
 def dim_inverse_image_formula(H: object, d: int, dimF: float) -> dict:
@@ -552,7 +561,7 @@ def dim_inverse_image_formula(H: object, d: int, dimF: float) -> dict:
     sum_j 1/H_j > d - dimF the inverse image can be empty or zero-dimensional;
     the result is then flagged with value NaN rather than guessed.
     """
-    H_arr = _check_hurst_vector(H)
+    H_arr = np.sort(check_hurst(H))
     d = int(d)
     dimF = float(dimF)
     if d < 1:
@@ -578,12 +587,7 @@ def dim_inverse_image_formula(H: object, d: int, dimF: float) -> dict:
         )
     best = min(values)
     k_best = 1 + int(np.argmin(values))
-    k_sandwich = None
-    for k in range(1, N + 1):
-        below = inv_cumsum[k - 2] if k >= 2 else 0.0
-        if below <= deficit < inv_cumsum[k - 1]:
-            k_sandwich = k
-            break
+    k_sandwich = _sandwich_index(inv_cumsum, deficit)
     sandwich_holds = (
         k_sandwich is not None and abs(values[k_sandwich - 1] - best) < 1e-12
     )
@@ -603,7 +607,7 @@ def beta_tau(H: object, d: int) -> tuple:
     when sum_l 1/H_l > d (existence of local times); beta is
     sum_(l<=tau) H_tau/H_l + N - tau - H_tau d.
     """
-    H_arr = _check_hurst_vector(H)
+    H_arr = np.sort(check_hurst(H))
     d = int(d)
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -611,12 +615,7 @@ def beta_tau(H: object, d: int) -> tuple:
     if inv_cumsum[-1] <= d:
         raise ValueError("no local times: sum of 1/H_l must exceed d")
     N = H_arr.size
-    tau = None
-    for k in range(1, N + 1):
-        below = inv_cumsum[k - 2] if k >= 2 else 0.0
-        if below <= d < inv_cumsum[k - 1]:
-            tau = k
-            break
+    tau = _sandwich_index(inv_cumsum, d)
     h_tau = H_arr[tau - 1]
     beta = float(np.sum(h_tau / H_arr[:tau]) + N - tau - h_tau * d)
     return tau, beta
@@ -682,10 +681,7 @@ def localtime_scaling_check(
             if width == 0.0:
                 out[i] = 0.0
                 continue
-            cell_volume = float(
-                np.prod([a[1] - a[0] if a.size > 1 else 1.0 for a in f.axes])
-            )
-            out[i] = factor * _localtime_at(sel, cell_volume, x_at, width)
+            out[i] = factor * _localtime_at(sel, _cell_volume(f.axes), x_at, width)
         return out
 
     base_sample = sample_half(seed_list[:half], base_bounds, x_arr, 1.0)

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import _blas
 from ._rng import stream
-from .fractional_kernel import progression_phases
-from .meyer_wavelet import RING_UPPER, TAU, envelope, psi_hat_ajk
+from .fractional_kernel import check_hurst, kernel_axis, progression_phases, translation_cap
+from .meyer_wavelet import RING_UPPER, TAU, check_alpha, envelope, psi_hat_ajk
 
 _GAUSS_COEFF_STD = math.sqrt(2.0)
 _ATOM_CHUNK = 8192
@@ -130,9 +130,7 @@ def atom_weights(atoms: LePageAtoms, alpha: float) -> np.ndarray:
     alpha = 2: (2/sqrt(count)) amplitude_i phi(V_i)^(-1/2) g_i, the spectral
     Monte Carlo weights whose Re-sums have the Gaussian-limit variance.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    alpha = check_alpha(alpha)
     dens = np.asarray(phi_density(atoms.points, atoms.theta))
     if alpha == 2.0:
         scale = 2.0 / math.sqrt(atoms.count)
@@ -333,13 +331,11 @@ def coefficient_blocks(
     """
     alpha = float(alpha)
     n, M = int(n), float(M)
-    if n < 0 or M <= 0.0:
-        raise ValueError("need n >= 0 and M > 0")
     if atoms.dimension != 2:
         raise ValueError("coefficient blocks are two-dimensional")
     if mode not in ("auto", "atoms"):
         raise ValueError(f"unknown mode {mode!r}")
-    k_cap = int(math.floor(M * 2.0 ** (n + 1)))
+    k_cap = translation_cap(n, M)
     ks = np.arange(-k_cap, k_cap + 1)
     if alpha == 2.0 and mode == "auto":
         for j1 in range(-n, n + 1):
@@ -399,7 +395,7 @@ def projected_atom_blocks(
     n, M = int(n), float(M)
     if atoms.dimension != 2:
         raise ValueError("coefficient blocks are two-dimensional")
-    k_cap = int(math.floor(M * 2.0 ** (n + 1)))
+    k_cap = translation_cap(n, M)
     ks = np.arange(-k_cap, k_cap + 1)
     weights = atom_weights(atoms, alpha)
     held = [_held_levels(atoms.points[:, axis], n) for axis in (0, 1)]
@@ -429,21 +425,12 @@ def projected_atom_blocks(
             yield j1, j2, x.view(float) @ y.view(float).T
 
 
-def _kernel_matrix(ts: np.ndarray, lam: np.ndarray, v: float, alpha: float) -> np.ndarray:
-    # zero frequencies carry no mass: inf^(-p) collapses the factor to 0 exactly
-    mag = np.where(lam == 0.0, np.inf, np.abs(lam)) ** (-(v + 1.0 / alpha))
-    return (np.exp(1j * np.outer(ts, lam)) - 1.0) * mag[None, :]
-
-
 def _check_field_args(atoms: LePageAtoms, H: object, alpha: float) -> np.ndarray:
     H_arr = np.asarray(H, dtype=float).reshape(-1)
     if H_arr.size != atoms.dimension:
         raise ValueError("H must have one entry per dimension")
-    if np.any((H_arr <= 0.0) | (H_arr >= 1.0)):
-        raise ValueError("H components must lie in (0, 1)")
-    if not 0.0 < float(alpha) <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    return H_arr
+    check_alpha(alpha)
+    return check_hurst(H_arr)
 
 
 def direct_field(atoms: LePageAtoms, t: object, H: object, alpha: float) -> object:
@@ -463,7 +450,7 @@ def direct_field(atoms: LePageAtoms, t: object, H: object, alpha: float) -> obje
             cols = slice(a0, a0 + _ATOM_CHUNK)
             prod = np.ones((pts[rows].shape[0], weights[cols].size), dtype=complex)
             for axis in range(atoms.dimension):
-                prod *= _kernel_matrix(
+                prod *= kernel_axis(
                     pts[rows, axis], atoms.points[cols, axis], H_arr[axis], alpha
                 )
             acc[rows] += prod @ weights[cols]
@@ -482,7 +469,7 @@ def direct_field_grid(atoms: LePageAtoms, axes: object, H: object, alpha: float)
         out = np.zeros(axes_list[0].size, dtype=complex)
         for a0 in range(0, atoms.count, _ATOM_CHUNK):
             cols = slice(a0, a0 + _ATOM_CHUNK)
-            B = _kernel_matrix(axes_list[0], atoms.points[cols, 0], H_arr[0], alpha)
+            B = kernel_axis(axes_list[0], atoms.points[cols, 0], H_arr[0], alpha)
             out += B @ weights[cols]
         return out.real
     if atoms.dimension != 2:
@@ -490,8 +477,8 @@ def direct_field_grid(atoms: LePageAtoms, axes: object, H: object, alpha: float)
     out = np.zeros((axes_list[0].size, axes_list[1].size), dtype=complex)
     for a0 in range(0, atoms.count, _ATOM_CHUNK):
         cols = slice(a0, a0 + _ATOM_CHUNK)
-        B1 = _kernel_matrix(axes_list[0], atoms.points[cols, 0], H_arr[0], alpha)
-        B2 = _kernel_matrix(axes_list[1], atoms.points[cols, 1], H_arr[1], alpha)
+        B1 = kernel_axis(axes_list[0], atoms.points[cols, 0], H_arr[0], alpha)
+        B2 = kernel_axis(axes_list[1], atoms.points[cols, 1], H_arr[1], alpha)
         out += (B1 * weights[cols]) @ B2.T
     return out.real
 
@@ -512,25 +499,28 @@ def coefficient_growth_report(
     if eta <= 0.0:
         raise ValueError("eta must be positive")
 
-    def normalized_max(level: int, eta_val: float) -> float:
-        k_cap = int(math.floor(M * 2.0 ** (level + 1)))
+    def normalized_maxima(level: int) -> tuple:
+        # the normalized max at eta and at eta = 0, in one pass over the blocks
+        k_cap = translation_cap(level, M)
         ks = np.arange(-k_cap, k_cap + 1)
         if alpha >= 1.0:
             k_fac = np.sqrt(np.log(2.0 + np.abs(ks)))
             denom_k = np.outer(k_fac, k_fac)
         else:
             denom_k = np.ones((ks.size, ks.size))
-        best = 0.0
+        best = [0.0, 0.0]
         for j1, j2, block in coefficient_blocks(atoms, alpha, level, M):
-            scale = ((1.0 + abs(j1)) * (1.0 + abs(j2))) ** (1.0 / alpha + eta_val)
-            if alpha >= 1.0:
-                scale *= math.sqrt(math.log(2.0 + abs(j1)) * math.log(2.0 + abs(j2)))
-            best = max(best, float(np.max(np.abs(block) / (scale * denom_k))))
-        return best
+            mags = np.abs(block)
+            for i, eta_val in enumerate((eta, 0.0)):
+                scale = ((1.0 + abs(j1)) * (1.0 + abs(j2))) ** (1.0 / alpha + eta_val)
+                if alpha >= 1.0:
+                    scale *= math.sqrt(math.log(2.0 + abs(j1)) * math.log(2.0 + abs(j2)))
+                best[i] = max(best[i], float(np.max(mags / (scale * denom_k))))
+        return tuple(best)
 
     reference = min(4, n)
-    ref_max = normalized_max(reference, eta)
-    top_max = ref_max if n == reference else normalized_max(n, eta)
+    top_max, top_zero = normalized_maxima(n)
+    ref_max = top_max if n == reference else normalized_maxima(reference)[0]
     ratio = top_max / ref_max if ref_max > 0 else math.inf
     return {
         "alpha": alpha,
@@ -542,5 +532,5 @@ def coefficient_growth_report(
         "max_at_n": top_max,
         "ratio": ratio,
         "stable": bool(ratio < 1.10),
-        "max_eta_zero": normalized_max(n, 0.0),
+        "max_eta_zero": top_zero,
     }

@@ -9,7 +9,6 @@ reconstruction identity downstream relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,7 +56,8 @@ def psi_hat(xi: object) -> object:
     return _scalar_like(np.asarray(out), xi)
 
 
-def _check_alpha(alpha: float) -> float:
+def check_alpha(alpha: float) -> float:
+    """alpha as a float, or ValueError unless 0 < alpha <= 2."""
     alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
@@ -66,16 +66,23 @@ def _check_alpha(alpha: float) -> float:
 
 def psi_hat_ajk(alpha: float, j: int, k: int, xi: object) -> object:
     """Dilated/translated copy 2^(-j/alpha) e^(-i k 2^-j xi) psi_hat(2^-j xi)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     arr = np.asarray(xi, dtype=float)
     scaled = np.ldexp(arr, -int(j))
     out = (2.0 ** (-j / alpha)) * np.exp(-1j * k * scaled) * psi_hat(scaled)
     return _scalar_like(np.asarray(out), xi)
 
 
-@lru_cache(maxsize=64)
-def _gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
+@lru_cache(maxsize=32)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # one eigenvalue solve per node count, shared by every interval
+    return np.polynomial.legendre.leggauss(n)
+
+
+@lru_cache(maxsize=128)
+def gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = _leggauss(int(n))
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -86,10 +93,10 @@ def alpha_norm_psi_hat(alpha: float, nodes: int = 400) -> float:
     Relative accuracy is far below 1e-10 for nodes >= 200 because the
     integrand is smooth on each piece.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     total = 0.0
     for a, b in ((RING_LOWER, 2.0 * RING_LOWER), (2.0 * RING_LOWER, RING_UPPER)):
-        x, w = _gl_nodes(a, b, nodes)
+        x, w = gl_nodes(a, b, nodes)
         total += float(w @ (envelope(x) / np.sqrt(TAU)) ** alpha)
     return (2.0 * total) ** (1.0 / alpha)
 
@@ -105,12 +112,3 @@ def partition_residual(xi: object, j_min: int = -10, j_max: int = 10) -> float:
     for j in range(j_min, j_max + 1):
         acc += np.asarray(envelope(np.ldexp(arr, -j))) ** 2
     return float(np.max(np.abs(acc - 1.0)))
-
-
-@dataclass(frozen=True)
-class MeyerProfile:
-    """Static description of the wavelet profile used throughout."""
-
-    taper_polynomial: tuple[float, ...] = _TAPER_COEFFS
-    ring_lower: float = RING_LOWER
-    ring_upper: float = RING_UPPER

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import _blas, lepage
 from ._rng import component_seed
-from .fractional_kernel import kappa, table_for, w_coeff
+from .fractional_kernel import check_hurst, kappa, table_for, translation_cap, w_coeff
+from .meyer_wavelet import check_alpha
 
 DEFAULT_ATOM_COUNT = 50_000
 VERSION = "0.1.0"
@@ -46,16 +47,13 @@ class TruncationDomain:
     M: float
 
     def __post_init__(self) -> None:
-        if int(self.n) < 0:
-            raise ValueError("truncation level n must be nonnegative")
-        if float(self.M) <= 0.0:
-            raise ValueError("halfwidth M must be positive")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "M", float(self.M))
+        translation_cap(self.n, self.M)  # raises on a window with n < 0 or M <= 0
 
     @property
     def k_cap(self) -> int:
-        return int(math.floor(self.M * 2.0 ** (self.n + 1)))
+        return translation_cap(self.n, self.M)
 
     def contains(self, J: object, K: object, coarsest: object = None) -> bool:
         """Whether index (J, K) lies in the window.
@@ -113,11 +111,9 @@ def grid_axes(bounds: object, shape: object) -> tuple:
     return tuple(axes)
 
 
-def _check_hurst(H: object) -> np.ndarray:
-    H_arr = np.asarray(H, dtype=float).reshape(-1)
-    if np.any((H_arr <= 0.0) | (H_arr >= 1.0)):
-        raise ValueError("H components must lie in (0, 1)")
-    return H_arr
+def grid_steps(axes: tuple) -> tuple:
+    """The spacing of each grid axis (1 on a one-point axis)."""
+    return tuple(float(a[1] - a[0]) if len(a) > 1 else 1.0 for a in axes)
 
 
 _RANK_TOL = 1e-15
@@ -248,10 +244,8 @@ def synthesize(
     atom pool of `count` atoms drives the LePage coefficients, on every scale
     pair up to n that holds an atom (see lepage.coefficient_blocks).
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    H_arr = _check_hurst(H)
+    alpha = check_alpha(alpha)
+    H_arr = check_hurst(H)
     if H_arr.size != 2:
         raise ValueError("wavelet synthesis is two-dimensional; pass H = (H1, H2)")
     if d < 1:
@@ -294,7 +288,7 @@ def synthesize_from_atoms(
     only truncation is in fine scales and positions.
     """
     alpha = float(alpha)
-    H_arr = _check_hurst(H)
+    H_arr = check_hurst(H)
     axes = grid_axes(*grid)
     _validate_grid(axes, trunc.M)
     values = _accumulate(atoms, H_arr, alpha, trunc, axes, "atoms")[None]
@@ -315,7 +309,7 @@ def transfer_check(
     Both routes share the same atoms, so the discrepancy is pure truncation
     error and should fall as n grows.
     """
-    H_arr = _check_hurst(H)
+    H_arr = check_hurst(H)
     axes = grid_axes(*grid)
     n_levels = [int(n) for n in n_list]
     direct = lepage.direct_field_grid(atoms, axes, H_arr, alpha)
@@ -381,7 +375,7 @@ def holder_cauchy_report(
     over seeds; `decreased_on_average` compares the last pair to the first.
     """
     alpha = float(alpha)
-    H_arr = _check_hurst(H)
+    H_arr = check_hurst(H)
     gamma = float(gamma)
     if not 0.0 <= gamma < float(np.min(H_arr)):
         raise ValueError("gamma must satisfy 0 <= gamma < min(H)")
@@ -390,9 +384,7 @@ def holder_cauchy_report(
         raise ValueError("need at least two truncation levels")
     axes = grid_axes(*grid)
     _validate_grid(axes, float(M))
-    steps = tuple(
-        float(a[1] - a[0]) if len(a) > 1 else 1.0 for a in axes
-    )
+    steps = grid_steps(axes)
     pairs = list(zip(levels[:-1], levels[1:]))
     seed_list = [int(s) for s in seeds]
     semi = np.zeros((len(seed_list), len(pairs)))
@@ -435,7 +427,7 @@ def truncated_point_variance(H: object, trunc: TruncationDomain, t: object) -> d
     the closed-form target 2 sigma(t)^2 isolates the truncation deficit
     without any sampling.
     """
-    H_arr = _check_hurst(H)
+    H_arr = check_hurst(H)
     t_arr = np.asarray(t, dtype=float).reshape(-1)
     if t_arr.size != H_arr.size:
         raise ValueError("t and H must have the same length")

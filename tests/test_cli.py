@@ -42,10 +42,19 @@ def small_field(seed=42):
     )
 
 
-def rewrite_header(tmp_path, name, edit):
-    """A small field file whose JSON header is replaced by ``edit(header)``."""
+def reader_field():
+    # large enough for every reader: holder needs 256 points per axis
+    return sy.synthesize(
+        (0.5, 0.7), 2.0, sy.TruncationDomain(2, 1.0),
+        (((0.05, 0.95), (0.05, 0.95)), (256, 256)), 7,
+    )
+
+
+def rewrite_header(tmp_path, name, edit, field=None):
+    """A field file (small_field() by default) whose JSON header is replaced
+    by ``edit(header)``."""
     src = tmp_path / "src.zh"
-    fieldio.write_field(small_field(), str(src))
+    fieldio.write_field(small_field() if field is None else field, str(src))
     blob = src.read_bytes()
     hlen = struct.unpack_from("<I", blob, 8)[0]
     raw = fieldio.canonical_json(edit(json.loads(blob[12 : 12 + hlen]))).encode()
@@ -69,6 +78,49 @@ def huge_shape(header):
 def no_components(header):
     header["meta"]["components"] = 0
     return header
+
+
+def version_as_list(header):
+    header["format_version"] = [2]
+    return header
+
+
+def components_as_list(header):
+    header["meta"]["components"] = [1]
+    return header
+
+
+def axes_as_number(header):
+    header["axes"] = 5
+    return header
+
+
+FORMAT_ERRORS = [header_as_array, no_components, huge_shape, version_as_list,
+                 components_as_list, axes_as_number]
+
+
+def no_hurst(header):
+    del header["meta"]["H"]
+    return header
+
+
+def no_alpha(header):
+    del header["meta"]["alpha"]
+    return header
+
+
+def scalar_hurst(header):
+    header["meta"]["H"] = 0.5
+    return header
+
+
+# the subcommands that read .zh files, with the flags each needs besides
+# --in and --out; on the unedited reader_field() file each exits 0
+READERS = {
+    "holder": [],
+    "levelset-dim": [],
+    "localtime": ["--corner", "0.1,0.1", "--radii", "0.4,0.2,0.1"],
+}
 
 
 class TestFieldFormat:
@@ -126,9 +178,10 @@ class TestFieldFormat:
         with pytest.raises(fieldio.VersionMismatchError):
             fieldio.read_field(path)
 
-    @pytest.mark.parametrize("edit", [header_as_array, no_components, huge_shape])
+    @pytest.mark.parametrize("edit", FORMAT_ERRORS)
     def test_malformed_header_is_a_format_error(self, tmp_path, edit):
-        # a header must be a JSON object and declare at least one component
+        # a header must be a JSON object, declare at least one component, and
+        # hold numbers where the format puts numbers
         path = rewrite_header(tmp_path, "bad.zh", edit)
         with pytest.raises(fieldio.FieldFormatError):
             fieldio.read_field(path)
@@ -472,12 +525,26 @@ class TestCliContract:
         code, out = run_cli(["formula", "--config", str(cfg), "--dimF", "1"])
         assert code == 0 and json.loads(out)["value"] == 2.0
 
-    @pytest.mark.parametrize("edit", [header_as_array, no_components, huge_shape])
-    @pytest.mark.parametrize("subcommand", ["holder", "levelset-dim"])
+    def read_with(self, tmp_path, subcommand, edit):
+        path = rewrite_header(tmp_path, "f.zh", edit, reader_field())
+        code, _ = run_cli([subcommand, "--in", path, "--out", str(tmp_path / "o.csv"),
+                           *READERS[subcommand]])
+        return code
+
+    @pytest.mark.parametrize("subcommand", READERS)
+    def test_sound_header_exits_0(self, tmp_path, subcommand):
+        assert self.read_with(tmp_path, subcommand, lambda h: h) == 0
+
+    @pytest.mark.parametrize("edit", FORMAT_ERRORS)
+    @pytest.mark.parametrize("subcommand", READERS)
     def test_malformed_header_exits_2(self, tmp_path, subcommand, edit):
-        path = rewrite_header(tmp_path, "bad.zh", edit)
-        code, _ = run_cli([subcommand, "--in", path, "--out", str(tmp_path / "o.csv")])
-        assert code == 2
+        assert self.read_with(tmp_path, subcommand, edit) == 2
+
+    @pytest.mark.parametrize("edit", [no_hurst, no_alpha, scalar_hurst])
+    @pytest.mark.parametrize("subcommand", READERS)
+    def test_meta_without_the_law(self, tmp_path, subcommand, edit):
+        # only localtime reads H and alpha; the others rightly ignore them
+        assert self.read_with(tmp_path, subcommand, edit) == (2 if subcommand == "localtime" else 0)
 
     # argv ({field}: a 2-D field file, {tmp}: a scratch directory) and the
     # config passed with it; each holds one malformed value
@@ -494,6 +561,11 @@ class TestCliContract:
         ),
         "holder-axis-out-of-range": (
             ["holder", "--in", "{field}", "--axis", "5", "--out", "{tmp}/h.csv"],
+            None,
+        ),
+        "coeffs-hurst-out-of-range": (
+            ["coeffs", "--seed", "9", "--alpha", "1.5", "--hurst", "1.5,7",
+             "--n", "2", "--M", "1.0", "--count", "500", "--out", "{tmp}/c.bin"],
             None,
         ),
         "ecf-check-no-samples": (

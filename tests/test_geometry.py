@@ -28,10 +28,6 @@ class TestRho:
     def test_single_axis_offset(self):
         assert ge.rho((0, 0), (4, 0), (0.5, 0.7)) == pytest.approx(2.0, abs=1e-14)
 
-    def test_metric_object(self):
-        metric = ge.AnisotropicMetric(H=(0.5, 0.7))
-        assert metric.distance((0, 0), (4, 0)) == pytest.approx(2.0, abs=1e-14)
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ge.rho((0, 0), (1, 1, 1), (0.5, 0.5))
@@ -274,6 +270,12 @@ class TestBoxCountDimension:
                 np.empty((0, 2)), ((0, 1), (0, 1)), "euclidean", (1, 2, 3)
             )
 
+    def test_hurst_vector_out_of_range_is_refused(self):
+        pts = np.random.default_rng(3).uniform(0, 1, (50, 2))
+        for H in ((1.5, 0.5), (-0.5, 0.5)):
+            with pytest.raises(ValueError):
+                ge.box_count_dimension(pts, ((0, 1), (0, 1)), H, (1, 2, 3))
+
 
 class TestDimensionFormulas:
     def test_reference_values(self):
@@ -403,7 +405,7 @@ class TestHolderEnvelope:
             (0.5, 0.7), 2.0, trunc, (((0.05, 0.95), (0.05, 0.95)), (64, 64)),
             seeds=range(3),
         )
-        rep = ge.holder_envelope_report(fields, (0.5, 0.7), 2.0, levels=4)
+        rep = ge.holder_envelope_report(fields, (0.5, 0.7), 2.0)
         assert len(rep["envelope"]) == len(rep["lags"]) == 4
         assert all(e > 0.0 for e in rep["envelope"])
         assert isinstance(rep["non_increasing_within_noise"], bool)

@@ -100,10 +100,3 @@ def test_dilated_copy_support_ring():
 def test_dilated_copy_rejects_bad_alpha():
     with pytest.raises(ValueError):
         mw.psi_hat_ajk(2.1, 0, 0, 3.0)
-
-
-def test_profile_record():
-    prof = mw.MeyerProfile()
-    assert prof.ring_lower == mw.RING_LOWER
-    assert prof.ring_upper == mw.RING_UPPER
-    assert len(prof.taper_polynomial) == 8
