@@ -394,7 +394,8 @@ _COMMON = (
     Flag("manifest", default=None,
          note="run-manifest path, else <out>.manifest.json"),
     Flag("threads", int, None,
-         note="accepted by every subcommand; outputs never depend on it"),
+         note="accepted and ignored by every subcommand; the CPU affinity mask "
+              "sets the worker threads, and outputs never depend on either"),
 )
 # Every resolved flag is a manifest parameter, except these.
 _NOT_PARAMETERS = {"seed", "in", "out", "manifest", "threads"}

@@ -52,10 +52,9 @@ def translation_cap(n: int, M: float) -> int:
 
 
 def _check_v_alpha(v: float, alpha: float) -> tuple[float, float]:
-    v = float(v)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"v must lie in (0, 1), got {v}")
-    return v, check_alpha(alpha)
+    # v is one Hurst exponent: unpacking refuses a vector with a ValueError
+    (v,) = check_hurst(v)
+    return float(v), check_alpha(alpha)
 
 
 def progression_phases(start: float, step: float, count: int, freq: object) -> tuple:

@@ -35,6 +35,14 @@ def _meta_hurst_alpha(field: object) -> tuple:
         raise ValueError(f"field meta has no usable {key!r} ({exc!r})") from exc
 
 
+def _localtime_alpha(alpha: float) -> float:
+    """alpha as a float, or ValueError outside the local-time theory's [1, 2]."""
+    alpha = float(alpha)
+    if not 1.0 <= alpha <= 2.0:
+        raise ValueError(f"local-time theory needs alpha in [1, 2], got {alpha}")
+    return alpha
+
+
 def _cell_volume(axes: tuple) -> float:
     """Volume of one grid cell: the product of the axis steps."""
     return float(np.prod(synthesis.grid_steps(axes)))
@@ -193,13 +201,18 @@ def holder_axis_exponent(field: object, axis: int) -> float:
         lags.append(2**p)
         p += 1
     medians, hs = [], []
+    # one buffer for every lag's |increments|; the median may reorder it
+    buf = np.empty(vals.size, dtype=vals.dtype)
     for lag in lags:
         sl = [slice(None)] * vals.ndim
         sl[axis] = slice(lag, None)
         lo = [slice(None)] * vals.ndim
         lo[axis] = slice(None, -lag)
-        inc = vals[tuple(sl)] - vals[tuple(lo)]
-        med = float(np.median(np.abs(inc)))
+        hi, low = vals[tuple(sl)], vals[tuple(lo)]
+        inc = buf[: hi.size].reshape(hi.shape)
+        np.subtract(hi, low, out=inc)
+        np.abs(inc, out=inc)
+        med = float(np.median(inc, overwrite_input=True))
         if med > 0.0:
             medians.append(med)
             hs.append(lag * step)
@@ -381,8 +394,7 @@ def localtime_holder_report(
     field_list = list(fields)
     first = field_list[0]
     H, alpha = _meta_hurst_alpha(first)
-    if not 1.0 <= alpha <= 2.0:
-        raise ValueError("local-time theory needs alpha in [1, 2]")
+    alpha = _localtime_alpha(alpha)
     d = first.component_count
     x_arr = np.asarray(x, dtype=float).reshape(-1)
     tau, _ = beta_tau(H, d)
@@ -644,9 +656,7 @@ def localtime_scaling_check(
     halves estimate the same distribution whenever the scaling law holds; a
     two-sample KS test reports the p-value.
     """
-    alpha = float(alpha)
-    if not 1.0 <= alpha <= 2.0:
-        raise ValueError("scaling law check needs alpha in [1, 2]")
+    alpha = _localtime_alpha(alpha)
     n_scale = int(n_scale)
     if n_scale < 1:
         raise ValueError("n_scale must be at least 1")

@@ -23,6 +23,7 @@ _GAUSS_COEFF_STD = math.sqrt(2.0)
 _ATOM_CHUNK = 8192
 _COLUMN_CHUNK = 2048  # atoms per phase table in _level_columns: K x 2048 complex
 _POINT_CHUNK = 512
+_DRAW_CHUNK = 16384  # coefficients per read of a Gaussian stream: 256 kB of normals
 
 
 @dataclass(frozen=True)
@@ -189,12 +190,33 @@ def _ring_rank_lattice(k_cap: int) -> np.ndarray:
     return out
 
 
-def _gaussian_block(seed: int, j1: int, j2: int, k_cap: int) -> np.ndarray:
-    rng = stream(seed, "coeff", j1, j2)
+def _ring_draws(seed: int, j1: int, j2: int, k_cap: int, dtype: type) -> np.ndarray:
+    # The stream of pair (j1, j2) holds one (Re, Im) pair of N(0, 2) normals
+    # per coefficient, in ring order. dtype complex keeps both parts; dtype
+    # float keeps the real parts alone, though the stream is read in full.
+    # The stream is read in chunks, so the temporaries stay small.
     need = (2 * k_cap + 1) ** 2
-    draws = rng.normal(0.0, _GAUSS_COEFF_STD, (need, 2))
-    flat = draws[:, 0] + 1j * draws[:, 1]
-    return flat[_ring_rank_lattice(k_cap)]
+    flat = np.empty(need, dtype)
+    parts = flat.view(float).reshape(need, -1)
+    rng = stream(seed, "coeff", j1, j2)
+    buf = np.empty((min(need, _DRAW_CHUNK), 2))
+    for start in range(0, need, _DRAW_CHUNK):
+        pairs = buf[: min(_DRAW_CHUNK, need - start)]
+        rng.standard_normal(out=pairs)
+        parts[start:start + pairs.shape[0]] = pairs[:, : parts.shape[1]]
+    # normal(0, s) returns 0 + s z, which makes a z of -0.0 into +0.0
+    parts *= _GAUSS_COEFF_STD
+    parts += 0.0
+    return flat
+
+
+def _gaussian_block(seed: int, j1: int, j2: int, k_cap: int) -> np.ndarray:
+    return _ring_draws(seed, j1, j2, k_cap, complex)[_ring_rank_lattice(k_cap)]
+
+
+def _gaussian_real_block(seed: int, j1: int, j2: int, k_cap: int) -> np.ndarray:
+    """np.real(_gaussian_block(seed, j1, j2, k_cap)), with no complex array formed."""
+    return _ring_draws(seed, j1, j2, k_cap, float)[_ring_rank_lattice(k_cap)]
 
 
 def _scaled_axis(atoms: LePageAtoms, axis: int, j: int) -> tuple:

@@ -6,11 +6,12 @@ columns grid points, scaled by 2^{-jH}). On a bounded grid each W_j has a small
 numerical rank, so the series is folded through one plan per axis: the
 truncated SVD W_j ~ A_j B_j^T, keeping the singular values above 1e-15 times
 the largest. A field is then B1 Z B2^T, where Z stacks the small blocks
-Z_{j1,j2} = A1_{j1}^T Re(C_{j1,j2}) A2_{j2}. The Gaussian route projects each
-drawn block; the atom route forms Z in atom space without any block (see
+Z_{j1,j2} = A1_{j1}^T Re(C_{j1,j2}) A2_{j2}. The Gaussian route draws and
+projects the blocks on a thread pool, one scale pair per task (see _parallel);
+the atom route forms Z in atom space without any block (see
 lepage.projected_atom_blocks). Plans are cached across calls, and every product
-runs on one BLAS thread, so the bytes depend neither on the BLAS thread count
-nor on what the process computed before.
+runs on one BLAS thread, so the bytes depend neither on the BLAS or pool thread
+counts nor on what the process computed before.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _blas, lepage
+from . import _blas, _parallel, lepage
 from ._rng import component_seed
 from .fractional_kernel import check_hurst, kappa, table_for, translation_cap, w_coeff
 from .meyer_wavelet import check_alpha
@@ -159,6 +160,27 @@ def axis_plan(v: float, alpha: float, n: int, M: float, axis: bytes) -> AxisPlan
     return AxisPlan(v, alpha, n, M, np.frombuffer(axis, dtype=float))
 
 
+def _gaussian_blocks(seed: int, trunc: TruncationDomain, factor) -> list:
+    """(j1, j2, A1_j1^T Re(C) A2_j2) over -n <= j1, j2 <= n, in lexicographic order.
+
+    C is the Gaussian block of lepage.coefficient_blocks at (j1, j2). Each
+    pair reads its own stream, so the pairs are drawn and projected on the
+    thread pool; every factor and the ring order are built here first, on
+    the calling thread.
+    """
+    levels = range(-trunc.n, trunc.n + 1)
+    a1 = {j: factor(0, j) for j in levels}
+    a2 = {j: factor(1, j) for j in levels}
+    lepage._ring_rank_lattice(trunc.k_cap)
+
+    def project(pair: tuple) -> tuple:
+        j1, j2 = pair
+        re = lepage._gaussian_real_block(seed, j1, j2, trunc.k_cap)
+        return j1, j2, a1[j1].T @ (re @ a2[j2])
+
+    return _parallel.ordered_map(project, [(j1, j2) for j1 in levels for j2 in levels])
+
+
 def _accumulate(
     atoms,
     H: np.ndarray,
@@ -177,10 +199,7 @@ def _accumulate(
 
     with _blas.one_thread():
         if alpha == 2.0 and mode == "auto":
-            blocks = [
-                (j1, j2, factor(0, j1).T @ (np.real(c) @ factor(1, j2)))
-                for j1, j2, c in lepage.coefficient_blocks(atoms, alpha, trunc.n, trunc.M)
-            ]
+            blocks = _gaussian_blocks(atoms.seed, trunc, factor)
         else:
             blocks = list(lepage.projected_atom_blocks(atoms, alpha, trunc.n, trunc.M, factor))
         if not blocks:

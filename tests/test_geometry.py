@@ -123,6 +123,26 @@ class TestHolderAxisExponent:
             slope = ge.holder_axis_exponent(self._rough_line(H), 0)
             assert abs(slope - H) < 0.08
 
+    def test_matches_per_lag_reference_and_keeps_the_field(self):
+        # a non-square rough field, both axes: one fresh increment array per lag
+        rng = np.random.default_rng(4)
+        vals = np.cumsum(np.cumsum(rng.standard_normal((300, 260)), axis=0), axis=1)
+        axes = (np.linspace(0.0, 1.0, 300), np.linspace(0.0, 2.0, 260))
+        f = make_fake_field(vals, axes)
+        before = f.values.copy()
+        for axis in (0, 1):
+            m = vals.shape[axis]
+            lags = [lag for lag in (2**p for p in range(12)) if lag <= (m - 1) // 2]
+            meds = [
+                float(np.median(np.abs(np.take(vals, range(lag, m), axis=axis)
+                                       - np.take(vals, range(m - lag), axis=axis))))
+                for lag in lags
+            ]
+            step = float(axes[axis][1] - axes[axis][0])
+            ref = float(np.polyfit(np.log([lag * step for lag in lags]), np.log(meds), 1)[0])
+            assert ge.holder_axis_exponent(f, axis) == ref
+        assert np.array_equal(f.values, before)
+
     def test_short_axis_is_rejected(self):
         t = np.linspace(0.0, 1.0, 100)
         f = make_fake_field(np.sin(t)[:, None], (t, np.array([0.0])))

@@ -180,6 +180,23 @@ class TestRingOrder:
         large = lp._gaussian_block(21, 1, -2, 6)
         assert np.array_equal(small, large[4:9, 4:9])
 
+    # k_cap 64 and 100: 129^2 and 201^2 coefficients, two and three stream reads
+    @pytest.mark.parametrize("k_cap", [64, 100])
+    def test_chunked_reads_give_one_normal_call(self, k_cap):
+        need = (2 * k_cap + 1) ** 2
+        assert need > lp._DRAW_CHUNK
+        draws = stream(8, "coeff", -3, 2).normal(0.0, math.sqrt(2.0), (need, 2))
+        block = lp._gaussian_block(8, -3, 2, k_cap)
+        expected = (draws[:, 0] + 1j * draws[:, 1])[lp._ring_rank_lattice(k_cap)]
+        assert block.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k_cap", [64, 100])
+    def test_real_block_is_the_real_part_of_the_block(self, k_cap):
+        real = lp._gaussian_real_block(8, -3, 2, k_cap)
+        assert real.dtype == np.float64 and real.flags.c_contiguous
+        assert real.tobytes() == np.ascontiguousarray(
+            np.real(lp._gaussian_block(8, -3, 2, k_cap))).tobytes()
+
 
 class TestCoefficient:
     def test_translation_phase_identity(self):

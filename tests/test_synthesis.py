@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from stablesheet import _blas, _parallel
 from stablesheet import lepage as lp
 from stablesheet import synthesis as sy
 from stablesheet._rng import component_seed
@@ -329,6 +331,60 @@ class TestDeterminism:
         assert proc.returncode == 0, proc.stderr
         counts = json.loads(proc.stdout)
         assert counts and set(counts.values()) == {1}, counts
+
+    # one worker, and more workers than cores with a short switch interval
+    @pytest.mark.parametrize("workers", [1, 7])
+    def test_gaussian_route_equals_a_serial_fold_of_the_blocks(self, workers, monkeypatch):
+        # 129^2 coefficients per block: each stream is read in two chunks
+        trunc = sy.TruncationDomain(5, 1.0)
+        H = (0.5, 0.7)
+        grid = (((0.1, 0.9), (0.15, 0.85)), (96, 80))
+        monkeypatch.setattr(_parallel, "worker_count", lambda: workers)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            field = sy.synthesize(H, 2.0, trunc, grid, 21)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        plans = [sy.axis_plan(h, 2.0, trunc.n, trunc.M, ax.tobytes())
+                 for h, ax in zip(H, field.axes)]
+        levels = list(range(-trunc.n, trunc.n + 1))
+        atoms = lp.sample_atoms(component_seed(21, 0), 1, 2)
+        with _blas.one_thread():
+            rows = []
+            for j1, j2, c in lp.coefficient_blocks(atoms, 2.0, trunc.n, trunc.M):
+                if j2 == -trunc.n:
+                    rows.append([])
+                a1, a2 = plans[0].factors(j1)[0], plans[1].factors(j2)[0]
+                rows[-1].append(a1.T @ (np.real(c) @ a2))
+            bases = [np.hstack([p.factors(j)[1] for j in levels]) for p in plans]
+            serial = (bases[0] @ np.block(rows)) @ bases[1].T
+        assert field.component(0).tobytes() == serial.tobytes()
+
+    # the synth CLI at alpha = 2, its process pinned to one CPU before the import
+    PINNED = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from stablesheet import _parallel, cli\n"
+        "assert _parallel.worker_count() == 1\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_synth_bytes_do_not_depend_on_the_affinity_mask(self, tmp_path):
+        argv = ["synth", "--seed", "7", "--alpha", "2.0", "--hurst", "0.5,0.7", "--n", "5",
+                "--M", "1.25", "--grid", "160x128", "--bounds", "0.1,1.1x0.1,1.1"]
+        digests = []
+        for name, prefix in (("pinned", ["-c", self.PINNED]), ("free", ["-m", "stablesheet.cli"])):
+            out = tmp_path / f"{name}.zh"
+            proc = subprocess.run([sys.executable, *prefix, *argv, "--out", str(out)],
+                                  capture_output=True, text=True, env=_subprocess_env(),
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
     def test_components_use_independent_streams(self):
         trunc = sy.TruncationDomain(1, 1.0)
