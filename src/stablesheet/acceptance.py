@@ -138,7 +138,8 @@ def criterion_4() -> dict:
     passed = True
     alphas = (1.0, 1.5)
     samples = np.empty((len(alphas), 10_000))
-    # one draw per pool, shared by both alphas
+    # one draw per pool, shared by both alphas; so is its phase table, which
+    # the pool keeps for the point t (lepage.direct_field)
     for s in range(10_000):
         atoms = lepage.sample_atoms(60000 + s, 20000, 2)
         for row, alpha in zip(samples, alphas):

@@ -288,6 +288,13 @@ def w_decay_constants(v: float, alpha: float, j_max: int, k_max: int) -> dict:
     return {"v": v, "alpha": alpha, "j_max": j_max, "k_max": k_max, "c_pos": c_pos, "c_neg": c_neg}
 
 
+def kernel_phases(t: object, lam: object) -> np.ndarray:
+    """The phase part e^{i t lam} - 1 of kernel_axis, shaped like it."""
+    out = np.exp(1j * np.multiply.outer(t, np.asarray(lam, dtype=float)))
+    out -= 1.0
+    return out
+
+
 def kernel_axis(t: object, lam: object, v: float, alpha: float) -> np.ndarray:
     """One-axis kernel factor (e^{i t lam} - 1) |lam|^(-v - 1/alpha), zero at lam = 0.
 
@@ -297,7 +304,7 @@ def kernel_axis(t: object, lam: object, v: float, alpha: float) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     # zero frequencies carry no mass: inf^(-p) collapses the factor to 0 exactly
     mag = np.where(lam == 0.0, np.inf, np.abs(lam)) ** (-(v + 1.0 / alpha))
-    return (np.exp(1j * np.multiply.outer(t, lam)) - 1.0) * mag
+    return kernel_phases(t, lam) * mag
 
 
 def kernel_f(t: object, lam: object, H: object, alpha: float) -> np.ndarray:

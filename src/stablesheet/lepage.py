@@ -9,14 +9,14 @@ randomness is what makes the two routes pathwise comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import _blas
 from ._rng import stream
-from .fractional_kernel import check_hurst, kernel_axis, progression_phases, translation_cap
+from .fractional_kernel import check_hurst, kernel_phases, progression_phases, translation_cap
 from .meyer_wavelet import RING_UPPER, TAU, check_alpha, envelope, psi_hat_ajk
 
 _GAUSS_COEFF_STD = math.sqrt(2.0)
@@ -24,11 +24,16 @@ _ATOM_CHUNK = 8192
 _COLUMN_CHUNK = 2048  # atoms per phase table in _level_columns: K x 2048 complex
 _POINT_CHUNK = 512
 _DRAW_CHUNK = 16384  # coefficients per read of a Gaussian stream: 256 kB of normals
+_PHASE_TABLE_TERMS = 1 << 17  # largest direct_field point table a pool keeps: 1 MB of floats
 
 
 @dataclass(frozen=True)
 class LePageAtoms:
-    """One realization of shared randomness: arrivals, frequency points, phases."""
+    """One realization of shared randomness: arrivals, frequency points, phases.
+
+    The arrays must not be changed in place: the pool keeps values derived
+    from them (the density, and direct_field's latest phase table).
+    """
 
     seed: int
     count: int
@@ -36,6 +41,8 @@ class LePageAtoms:
     gammas: np.ndarray
     points: np.ndarray
     rotations: np.ndarray
+    # direct_field's most recent point table, {key: table}; freed with the pool
+    _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -45,6 +52,11 @@ class LePageAtoms:
     def amplitudes(self) -> np.ndarray:
         """Square roots of the arrival increments; unit-mean-square, used at alpha = 2."""
         return np.sqrt(np.diff(self.gammas, prepend=0.0))
+
+    @cached_property
+    def _density(self) -> np.ndarray:
+        # phi_density at every frequency point, computed once per pool
+        return np.asarray(phi_density(self.points, self.theta))
 
     @property
     def density_spec(self) -> dict:
@@ -132,7 +144,7 @@ def atom_weights(atoms: LePageAtoms, alpha: float) -> np.ndarray:
     Monte Carlo weights whose Re-sums have the Gaussian-limit variance.
     """
     alpha = check_alpha(alpha)
-    dens = np.asarray(phi_density(atoms.points, atoms.theta))
+    dens = atoms._density
     if alpha == 2.0:
         scale = 2.0 / math.sqrt(atoms.count)
         return scale * atoms.amplitudes * dens**-0.5 * atoms.rotations
@@ -144,7 +156,7 @@ def series_tail_bound(atoms: LePageAtoms, alpha: float) -> float:
     """Heuristic magnitude of the first omitted series term (diagnostic only)."""
     if float(alpha) == 2.0:
         return 0.0
-    dens = np.asarray(phi_density(atoms.points, atoms.theta))
+    dens = atoms._density
     k = stable_multiplier(alpha)
     return float(
         k * atoms.gammas[-1] ** (-1.0 / alpha) * np.max(dens ** (-1.0 / alpha))
@@ -455,8 +467,61 @@ def _check_field_args(atoms: LePageAtoms, H: object, alpha: float) -> np.ndarray
     return check_hurst(H_arr)
 
 
+def _atom_scales(atoms: LePageAtoms, H: np.ndarray, alpha: float) -> np.ndarray:
+    # |w_a| prod_l |lambda_al|^(-(H_l + 1/alpha)) for every atom a, as one exp of
+    # a sum of logs; 0 where some lambda_al = 0. The pool keeps phi, not the
+    # logs: a log is one vectorized pass, while keeping them raised the memory
+    # high-water mark of a pool's direct sums above that of its draw.
+    if alpha == 2.0:
+        k = 2.0 / math.sqrt(atoms.count)
+        expo = np.log(np.diff(atoms.gammas, prepend=0.0))
+        expo -= np.log(atoms._density)
+        expo *= 0.5
+    else:
+        k = stable_multiplier(alpha)
+        expo = np.log(atoms.gammas)
+        expo += np.log(atoms._density)
+        expo *= -1.0 / alpha
+    for h, lam in zip(H, atoms.points.T):
+        logs = np.abs(lam)
+        logs[logs == 0.0] = np.inf  # so that exp(-p log|lambda|) is 0 there
+        np.log(logs, out=logs)
+        logs *= h + 1.0 / alpha
+        expo -= logs
+    np.exp(expo, out=expo)
+    expo *= k
+    return expo
+
+
+def _phase_table(atoms: LePageAtoms, pts: np.ndarray) -> np.ndarray:
+    # Re(g_a prod_l (e^{i t_l lambda_al} - 1)) for each point row t and atom a:
+    # the alpha-free factor of every direct-sum term. The pool keeps the table
+    # of the most recent point set, when it has at most _PHASE_TABLE_TERMS entries.
+    key = (pts.shape, pts.tobytes())
+    table = atoms._phases.get(key)
+    if table is not None:
+        return table
+    table = np.empty((pts.shape[0], atoms.count))
+    for a0 in range(0, atoms.count, _ATOM_CHUNK):
+        cols = slice(a0, a0 + _ATOM_CHUNK)
+        prod = kernel_phases(pts[:, 0], atoms.points[cols, 0])
+        prod *= atoms.rotations[cols]
+        for axis in range(1, atoms.dimension):
+            prod *= kernel_phases(pts[:, axis], atoms.points[cols, axis])
+        table[:, cols] = prod.real
+    atoms._phases.clear()
+    if table.size <= _PHASE_TABLE_TERMS:
+        atoms._phases[key] = table
+    return table
+
+
 def direct_field(atoms: LePageAtoms, t: object, H: object, alpha: float) -> object:
-    """Field values at arbitrary points by direct kernel summation over atoms."""
+    """Field values at arbitrary points by direct kernel summation over atoms.
+
+    Each term is Re(g_a prod_l (e^{i t_l lambda_al} - 1)) times a real, alpha-
+    dependent magnitude. The pool keeps the first factor for its most recent
+    point set, so another alpha at the same points costs one exp per atom.
+    """
     alpha = float(alpha)
     H_arr = _check_field_args(atoms, H, alpha)
     t_arr = np.asarray(t, dtype=float)
@@ -464,44 +529,37 @@ def direct_field(atoms: LePageAtoms, t: object, H: object, alpha: float) -> obje
     pts = t_arr[None, :] if single else t_arr
     if pts.ndim != 2 or pts.shape[1] != atoms.dimension:
         raise ValueError("points must have shape (m, N) or (N,)")
-    weights = atom_weights(atoms, alpha)
-    acc = np.zeros(pts.shape[0], dtype=complex)
+    scales = _atom_scales(atoms, H_arr, alpha)
+    acc = np.empty(pts.shape[0])
     for p0 in range(0, pts.shape[0], _POINT_CHUNK):
         rows = slice(p0, p0 + _POINT_CHUNK)
-        for a0 in range(0, atoms.count, _ATOM_CHUNK):
-            cols = slice(a0, a0 + _ATOM_CHUNK)
-            prod = np.ones((pts[rows].shape[0], weights[cols].size), dtype=complex)
-            for axis in range(atoms.dimension):
-                prod *= kernel_axis(
-                    pts[rows, axis], atoms.points[cols, axis], H_arr[axis], alpha
-                )
-            acc[rows] += prod @ weights[cols]
-    return float(acc[0].real) if single else acc.real
+        acc[rows] = _phase_table(atoms, pts[rows]) @ scales
+    return float(acc[0]) if single else acc
 
 
 def direct_field_grid(atoms: LePageAtoms, axes: object, H: object, alpha: float) -> np.ndarray:
-    """Field on a tensor grid: one kernel matrix per axis, summed in atom chunks."""
+    """Field on a tensor grid: one phase matrix per axis, summed in atom chunks."""
     alpha = float(alpha)
     H_arr = _check_field_args(atoms, H, alpha)
     axes_list = [np.asarray(a, dtype=float).reshape(-1) for a in axes]
     if len(axes_list) != atoms.dimension:
         raise ValueError("need one axis per dimension")
-    weights = atom_weights(atoms, alpha)
+    # the complex weights with every kernel magnitude folded in
+    u = atoms.rotations * _atom_scales(atoms, H_arr, alpha)
     if atoms.dimension == 1:
         out = np.zeros(axes_list[0].size, dtype=complex)
         for a0 in range(0, atoms.count, _ATOM_CHUNK):
             cols = slice(a0, a0 + _ATOM_CHUNK)
-            B = kernel_axis(axes_list[0], atoms.points[cols, 0], H_arr[0], alpha)
-            out += B @ weights[cols]
+            out += kernel_phases(axes_list[0], atoms.points[cols, 0]) @ u[cols]
         return out.real
     if atoms.dimension != 2:
         raise ValueError("tensor grids support one or two dimensions")
     out = np.zeros((axes_list[0].size, axes_list[1].size), dtype=complex)
     for a0 in range(0, atoms.count, _ATOM_CHUNK):
         cols = slice(a0, a0 + _ATOM_CHUNK)
-        B1 = kernel_axis(axes_list[0], atoms.points[cols, 0], H_arr[0], alpha)
-        B2 = kernel_axis(axes_list[1], atoms.points[cols, 1], H_arr[1], alpha)
-        out += (B1 * weights[cols]) @ B2.T
+        B1 = kernel_phases(axes_list[0], atoms.points[cols, 0])
+        B1 *= u[cols]
+        out += B1 @ kernel_phases(axes_list[1], atoms.points[cols, 1]).T
     return out.real
 
 

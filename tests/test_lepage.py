@@ -1,6 +1,7 @@
 """Tests for the heavy-tailed atom pools and the random coefficients they induce."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import integrate, stats
 
 from stablesheet import lepage as lp
 from stablesheet._rng import stream
-from stablesheet.fractional_kernel import scale_sigma
+from stablesheet.fractional_kernel import kernel_axis, scale_sigma
 
 
 class TestSampleAtoms:
@@ -357,6 +358,87 @@ class TestDirectField:
             xs[s] = lp.direct_field(a, t, H, 2.0)
         sig = scale_sigma(t, None, H, 2.0)
         assert abs(np.var(xs) / (2.0 * sig**2) - 1.0) < 0.05
+
+
+def _terms(atoms, pts, H, alpha):
+    # every direct-sum term w_a prod_l kernel_axis, one row per point
+    terms = np.tile(lp.atom_weights(atoms, alpha), (pts.shape[0], 1))
+    for axis in range(atoms.dimension):
+        terms *= kernel_axis(pts[:, axis], atoms.points[:, axis], H[axis], alpha)
+    return terms
+
+
+class TestDirectSumCache:
+    @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_matches_the_sum_of_kernel_terms(self, alpha, N):
+        a = lp.sample_atoms(40 + N, 3000, N)
+        H = (0.5, 0.7)[:N]
+        pts = np.random.default_rng(N).uniform(0.05, 2.0, (6, N))
+        terms = _terms(a, pts, H, alpha)
+        got = lp.direct_field(a, pts, H, alpha)
+        err = np.abs(got - terms.real.sum(axis=1)) / np.abs(terms).sum(axis=1)
+        assert np.max(err) <= 1e-12
+
+    def test_any_call_order_gives_the_bits_of_fresh_pools(self):
+        H = (0.5, 0.7)
+        t, t2 = np.array([[1.0, 1.0], [0.3, 0.8]]), np.array([[0.6, 0.2]])
+        calls = [(t, 1.5), (t, 2.0), (t, 1.5), (t2, 1.5), (t, 2.0), (t2, 0.8), (t, 1.5)]
+        shared = lp.sample_atoms(9, 4000, 2)
+        for pts, alpha in calls:
+            fresh = lp.direct_field(lp.sample_atoms(9, 4000, 2), pts, H, alpha)
+            assert lp.direct_field(shared, pts, H, alpha).tobytes() == fresh.tobytes()
+
+    def test_second_alpha_reuses_the_phase_table(self, monkeypatch):
+        builds = []
+        kernel_phases = lp.kernel_phases
+        monkeypatch.setattr(lp, "kernel_phases",
+                            lambda t, lam: builds.append(1) or kernel_phases(t, lam))
+        a = lp.sample_atoms(8, 20000, 2)
+        per_table = 2 * math.ceil(20000 / lp._ATOM_CHUNK)  # one per axis and chunk
+        for alpha in (1.0, 1.5, 2.0, 1.0):
+            lp.direct_field(a, (1.0, 1.0), (0.5, 0.7), alpha)
+        assert len(builds) == per_table
+        lp.direct_field(a, (0.5, 1.0), (0.5, 0.7), 1.5)
+        lp.direct_field(a, (0.5, 1.0), (0.5, 0.7), 2.0)
+        assert len(builds) == 2 * per_table
+        lp.direct_field(a, (1.0, 1.0), (0.5, 0.7), 1.5)  # only the latest point set is kept
+        assert len(builds) == 3 * per_table
+
+    def test_large_point_sets_are_not_kept(self):
+        a = lp.sample_atoms(8, 3000, 1)
+        pts = np.linspace(0.1, 2.0, lp._PHASE_TABLE_TERMS // 3000 + 1)[:, None]
+        lp.direct_field(a, pts, (0.5,), 1.5)
+        assert not a._phases
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_zero_frequency_atom_contributes_exactly_zero(self, alpha):
+        a = lp.sample_atoms(21, 50, 2)
+        points = a.points.copy()
+        points[7, 1] = 0.0
+        b = lp.LePageAtoms(seed=a.seed, count=a.count, theta=a.theta, gammas=a.gammas,
+                           points=points, rotations=a.rotations)
+        pts = np.array([[1.0, 1.0], [0.4, 1.3]])
+        with np.errstate(invalid="raise"):  # an inf * 0 would raise here
+            scales = lp._atom_scales(b, np.array([0.5, 0.7]), alpha)
+            vals = lp.direct_field(b, pts, (0.5, 0.7), alpha)
+            grid = lp.direct_field_grid(b, ([0.4, 1.0], [1.0, 1.3]), (0.5, 0.7), alpha)
+        assert scales[7] == 0.0 and np.all(lp._phase_table(b, pts)[:, 7] == 0.0)
+        terms = _terms(b, pts, (0.5, 0.7), alpha)
+        assert np.all(terms[:, 7] == 0.0)
+        err = np.abs(vals - terms.real.sum(axis=1)) / np.abs(terms).sum(axis=1)
+        assert np.max(err) <= 1e-12
+        assert np.allclose(grid[[1, 0], [0, 1]], vals, rtol=1e-12, atol=0.0)
+
+    def test_a_pool_is_freed_with_its_tables(self):
+        a = lp.sample_atoms(5, 2000, 2)
+        lp.direct_field(a, (1.0, 1.0), (0.5, 0.7), 1.5)
+        lp.direct_field_grid(a, ([0.5], [0.5]), (0.5, 0.7), 2.0)
+        lp.atom_weights(a, 1.5)
+        assert a._phases
+        ref = weakref.ref(a)
+        del a  # by reference count alone: no cycle and no module-level cache holds it
+        assert ref() is None
 
 
 class TestGrowthReport:
