@@ -6,6 +6,20 @@ in input order, and each item's result depends on the item alone, so the
 bytes never depend on how many threads ran. The pool has one thread per CPU
 the process may run on (its affinity mask), and it is shut down before the
 call returns.
+
+Two callers use it: synthesis._gaussian_blocks (one scale pair's draws and
+projection per task) and lepage.projected_atom_blocks (one axis level's atom
+columns, or one row of blocks, per task). A task keeps these rules:
+- factors, plans and envelope values are computed by the caller before the
+  map, since plan builds write to caches and call traced functions;
+- no task enters _blas.one_thread: the caller's block covers every task, and
+  a nested one would restore the thread counts while others still run;
+- no task calls a function that a tracer may rebind from outside (the
+  tables' psi, lepage.envelope, ...): the tracer's span stack is not
+  thread-safe;
+- large outputs, and scratch buffers that every task reuses, are allocated
+  by the caller: memory a worker thread frees stays in its own malloc arena,
+  and adds to the peak.
 """
 
 from __future__ import annotations

@@ -14,14 +14,18 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import _blas
+from . import _blas, _parallel
 from ._rng import stream
-from .fractional_kernel import check_hurst, kernel_phases, progression_phases, translation_cap
-from .meyer_wavelet import RING_UPPER, TAU, check_alpha, envelope, psi_hat_ajk
+from .fractional_kernel import (
+    check_hurst, kernel_phases, progression_phases, progression_rows, translation_cap,
+)
+from .meyer_wavelet import RING_LOWER, RING_UPPER, TAU, check_alpha, envelope, psi_hat_ajk
 
 _GAUSS_COEFF_STD = math.sqrt(2.0)
 _ATOM_CHUNK = 8192
-_COLUMN_CHUNK = 2048  # atoms per phase table in _level_columns: K x 2048 complex
+# atoms per phase table in projected_atom_blocks, K x 2048 complex: the chunk
+# partition fixes the shape of each GEMM operand, and so the bytes of a field
+_COLUMN_CHUNK = 2048
 _POINT_CHUNK = 512
 _DRAW_CHUNK = 16384  # coefficients per read of a Gaussian stream: 256 kB of normals
 _PHASE_TABLE_TERMS = 1 << 17  # largest direct_field point table a pool keeps: 1 MB of floats
@@ -237,10 +241,14 @@ def _scaled_axis(atoms: LePageAtoms, axis: int, j: int) -> tuple:
     return x, np.asarray(envelope(x))
 
 
-def _lattice_phases(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # e^{i k x} for the consecutive integers ks, from two short exp tables
+def _lattice_phases(ks: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # e^{i k x} for the consecutive integers ks, from two short exp tables;
+    # with out, a flat buffer of at least Q L x.size entries for
+    # (Q, L) = progression_rows(ks.size), the products are formed in it
     coarse, fine = progression_phases(float(ks[0]), 1.0, ks.size, x)
-    phases = coarse[:, None, :] * fine[None, :, :]
+    if out is not None:
+        out = out[: coarse.shape[0] * fine.shape[0] * x.size].reshape(-1, fine.shape[0], x.size)
+    phases = np.multiply(coarse[:, None, :], fine[None, :, :], out=out)
     return phases.reshape(-1, x.size)[: ks.size]
 
 
@@ -305,18 +313,28 @@ def coefficient(atoms: LePageAtoms, J: object, K: object, alpha: float) -> compl
 
 
 def _held_levels(x: np.ndarray, n: int) -> dict:
-    # level j <= n -> mask of the atoms whose envelope(2^-j x) is nonzero.
-    # Below floor(log2(min |x| / RING_UPPER)) every 2^-j |x| lies above the
-    # ring, so no coarser level holds an atom. Zero coordinates hold none.
-    mags = np.abs(x[x != 0.0])
-    if mags.size == 0:
+    # level j <= n -> (mask of the atoms whose envelope(2^-j x) is nonzero,
+    # their envelope values). envelope is 0 outside the closed ring
+    # RING_LOWER <= |xi| <= RING_UPPER, and 2^-j x is exact, so it is evaluated
+    # only on the atoms with RING_LOWER 2^j <= |x| <= RING_UPPER 2^j: at most
+    # three levels per atom. Below floor(log2(min |x| / RING_UPPER)) every
+    # 2^-j |x| lies above the ring, so no coarser level holds an atom. Zero
+    # coordinates hold none.
+    mags = np.abs(x)
+    off = mags[mags != 0.0]
+    if off.size == 0:
         return {}
-    lo = int(np.floor(np.log2(np.min(mags) / RING_UPPER)))
+    lo = int(np.floor(np.log2(np.min(off) / RING_UPPER)))
     levels = {}
     for j in range(lo, n + 1):
-        held = np.asarray(envelope(np.ldexp(x, -j))) != 0.0
-        if held.any():
-            levels[j] = held
+        inside = (mags >= math.ldexp(RING_LOWER, j)) & (mags <= math.ldexp(RING_UPPER, j))
+        ring = np.flatnonzero(inside)
+        values = np.asarray(envelope(np.ldexp(x[ring], -j)))
+        nonzero = values != 0.0
+        if nonzero.any():
+            mask = np.zeros(x.size, dtype=bool)
+            mask[ring[nonzero]] = True
+            levels[j] = (mask, values[nonzero])
     return levels
 
 
@@ -342,7 +360,8 @@ def occupied_scale_pairs(atoms: LePageAtoms, n: int) -> list:
     lv1 = _held_levels(atoms.points[:, 0], int(n))
     lv2 = _held_levels(atoms.points[:, 1], int(n))
     return [
-        (j1, j2) for j1 in lv1 for j2 in lv2 if bool(np.any(lv1[j1] & lv2[j2]))
+        (j1, j2) for j1, (m1, _) in lv1.items() for j2, (m2, _) in lv2.items()
+        if bool(np.any(m1 & m2))
     ]
 
 
@@ -390,31 +409,10 @@ def coefficient_blocks(
         yield j1, j2, block
 
 
-def _level_columns(
-    atoms: LePageAtoms, axis: int, j: int, held: np.ndarray, alpha: float,
-    ks: np.ndarray, factor: np.ndarray, weights: np.ndarray | None = None,
-) -> np.ndarray:
-    # one column per held atom a: f(a, j) sum_k e^{i k x_a} factor[k, :], with
-    # f = 2^{-j/alpha} envelope(x) / sqrt(2 pi) e^{-i x / 2} (times the atom's
-    # weight, when given) and x = 2^{-j} x_{a,axis}
-    x = np.ldexp(atoms.points[held, axis], -j)
-    f = 2.0 ** (-j / alpha) * (np.asarray(envelope(x)) / math.sqrt(TAU)) * np.exp(-0.5j * x)
-    if weights is not None:
-        f *= weights[held]
-    cols = np.empty((factor.shape[1], x.size), dtype=complex)
-    for start in range(0, x.size, _COLUMN_CHUNK):
-        sel = slice(start, start + _COLUMN_CHUNK)
-        phases = _lattice_phases(ks, x[sel])
-        # a real factor times complex phases: one real GEMM on the interleaved parts
-        cols[:, sel] = (factor.T @ phases.view(float)).view(complex)
-    cols *= f
-    return cols
-
-
 def projected_atom_blocks(
     atoms: LePageAtoms, alpha: float, n: int, M: float, factor
-):
-    """Yield (j1, j2, Z) with Z = Re(A1^T C A2) over the occupied scale pairs.
+) -> list:
+    """(j1, j2, Z) with Z = Re(A1^T C A2) over the occupied scale pairs.
 
     C is the atom-route block of coefficient_blocks (mode "atoms") at (j1, j2)
     and A_l = factor(l, j_l) is a real matrix with one row per translation
@@ -424,6 +422,12 @@ def projected_atom_blocks(
     and Z = Re(sum_a w_a h_1(a, j1) h_2(a, j2)^T) over the atoms of the pair.
     Pairs come in the lexicographic order of occupied_scale_pairs; only atoms
     held on both axes get columns.
+
+    The columns and blocks are computed on the thread pool (see _parallel):
+    first one task per axis-1 level, then one task per axis-0 level, which
+    forms its row of blocks. Every factor, mask and envelope value is computed
+    here first, on the calling thread, and so are the axis-1 columns and one
+    phase buffer per worker.
     """
     alpha = float(alpha)
     n, M = int(n), float(M)
@@ -436,27 +440,72 @@ def projected_atom_blocks(
     # on_other[l]: the atoms that some level of the other axis holds
     on_other = [np.zeros(atoms.count, dtype=bool) for _ in held]
     for axis, levels in enumerate(held):
-        for mask in levels.values():
+        for mask, _ in levels.values():
             on_other[1 - axis] |= mask
-    # axis 1: every level's columns, kept while axis 0 runs through its levels
-    axis2 = {}
-    for j2, mask in held[1].items():
-        sel = mask & on_other[1]
-        if sel.any():
-            axis2[j2] = (sel, _level_columns(atoms, 1, j2, sel, alpha, ks, factor(1, j2)))
-    for j1, mask in held[0].items():
-        sel1 = mask & on_other[0]
-        if not sel1.any():
-            continue
-        cols1 = _level_columns(atoms, 0, j1, sel1, alpha, ks, factor(0, j1), weights)
-        for j2, (sel2, cols2) in axis2.items():
+    # per axis, (j, atoms, their envelope values, A_l(j)) of each level with columns
+    tasks = [[], []]
+    for axis, levels in enumerate(held):
+        for j, (mask, env) in levels.items():
+            sel = mask & on_other[axis]
+            if sel.any():
+                tasks[axis].append((j, sel, env[sel[mask]], factor(axis, j)))
+    if not tasks[0]:
+        return []
+    # Made here: one phase buffer per worker, the largest array a task uses,
+    # and every axis-1 column array, which outlives its task
+    Q, L = progression_rows(ks.size)
+    widest = max(env.size for _, _, env, _ in tasks[0] + tasks[1])
+    import queue  # here: at module level it would add to every process's start-up
+
+    spare = queue.SimpleQueue()
+    for _ in range(min(_parallel.worker_count(), max(len(t) for t in tasks))):
+        spare.put(np.empty(Q * L * min(widest, _COLUMN_CHUNK), dtype=complex))
+    cols2 = [np.empty((a.shape[1], env.size), dtype=complex) for _, _, env, a in tasks[1]]
+
+    def columns(axis: int, task: tuple, out: np.ndarray) -> np.ndarray:
+        # out[:, a] = h_l(a, j) for the task's atoms a, times w_a on axis 0
+        j, sel, env, a = task
+        x = np.ldexp(atoms.points[sel, axis], -j)
+        f = 2.0 ** (-j / alpha) * (env / math.sqrt(TAU)) * np.exp(-0.5j * x)
+        if axis == 0:
+            f *= weights[sel]
+        parts = out.view(float)
+        phases = spare.get()
+        try:
+            # the atoms go in chunks of _COLUMN_CHUNK: the chunks fix the shape
+            # of each GEMM, and so the bytes of the columns
+            for start in range(0, x.size, _COLUMN_CHUNK):
+                stop = min(start + _COLUMN_CHUNK, x.size)
+                table = _lattice_phases(ks, x[start:stop], phases)
+                # a real factor times complex phases: one real GEMM on the interleaved parts
+                np.matmul(a.T, table.view(float), out=parts[:, 2 * start:2 * stop])
+        finally:
+            spare.put(phases)
+        out *= f
+        return out
+
+    def axis1(item: tuple) -> None:
+        task, out = item
+        # conjugated once per level, for every pair's Re(x y^T) below
+        np.conjugate(columns(1, task, out), out=out)
+
+    def row(task: tuple) -> list:
+        j1, sel1, env1, a = task
+        cols1 = columns(0, task, np.empty((a.shape[1], env1.size), dtype=complex))
+        blocks = []
+        for (j2, sel2, _, _), cols in zip(tasks[1], cols2):
             common = sel1 & sel2
             if not common.any():
                 continue
-            # Re(x y^T) = x_re y_re^T - x_im y_im^T, one GEMM on interleaved parts
+            # Re(x conj(y)^T) = x_re y_re^T - x_im y_im^T, one GEMM on interleaved parts
             x = np.ascontiguousarray(cols1[:, common[sel1]])
-            y = np.ascontiguousarray(np.conj(cols2[:, common[sel2]]))
-            yield j1, j2, x.view(float) @ y.view(float).T
+            y = np.ascontiguousarray(cols[:, common[sel2]])
+            blocks.append((j1, j2, x.view(float) @ y.view(float).T))
+        return blocks
+
+    _parallel.ordered_map(axis1, zip(tasks[1], cols2))
+    rows = _parallel.ordered_map(row, tasks[0])
+    return [block for blocks in rows for block in blocks]
 
 
 def _check_field_args(atoms: LePageAtoms, H: object, alpha: float) -> np.ndarray:

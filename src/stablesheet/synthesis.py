@@ -8,8 +8,9 @@ truncated SVD W_j ~ A_j B_j^T, keeping the singular values above 1e-15 times
 the largest. A field is then B1 Z B2^T, where Z stacks the small blocks
 Z_{j1,j2} = A1_{j1}^T Re(C_{j1,j2}) A2_{j2}. The Gaussian route draws and
 projects the blocks on a thread pool, one scale pair per task (see _parallel);
-the atom route forms Z in atom space without any block (see
-lepage.projected_atom_blocks). Plans are cached across calls, and every product
+the atom route forms Z in atom space without any block, on the same pool, one
+axis level per task (see lepage.projected_atom_blocks). Plans are cached
+across calls, and every product
 runs on one BLAS thread, so the bytes depend neither on the BLAS or pool thread
 counts nor on what the process computed before.
 """
@@ -201,7 +202,7 @@ def _accumulate(
         if alpha == 2.0 and mode == "auto":
             blocks = _gaussian_blocks(atoms.seed, trunc, factor)
         else:
-            blocks = list(lepage.projected_atom_blocks(atoms, alpha, trunc.n, trunc.M, factor))
+            blocks = lepage.projected_atom_blocks(atoms, alpha, trunc.n, trunc.M, factor)
         if not blocks:
             return np.zeros((len(axes[0]), len(axes[1])))
         # stack exactly the levels this field needs, in ascending j, so its

@@ -302,6 +302,35 @@ class TestCoefficient:
             next(lp.coefficient_blocks(a, 2.0, 1, 1.0, mode="bogus"))
 
 
+class TestHeldLevels:
+    # atoms on both edges of every level's ring and a hair inside and outside
+    # them, at zero, at +-1e-16 and at +-1e12, and a pool's worth of draws
+    EDGES = [math.ldexp(edge, j) for j in range(-60, 7)
+             for edge in (lp.RING_LOWER, lp.RING_UPPER)]
+
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_bracket_equals_a_full_envelope_scan(self, n):
+        edges = np.array(self.EDGES)
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        x = np.concatenate([near, -near, [0.0, 1e-16, -1e-16, 1e12, -1e12],
+                            lp.sample_atoms(5, 4000, 1).points[:, 0]])
+        held = lp._held_levels(x, n)
+        mags = np.abs(x[x != 0.0])
+        scan = {}
+        for j in range(int(np.floor(np.log2(np.min(mags)))) - 4, n + 1):
+            values = np.asarray(lp.envelope(np.ldexp(x, -j)))
+            if np.any(values != 0.0):
+                scan[j] = values
+        assert list(held) == list(scan)
+        for j, values in scan.items():
+            mask, kept = held[j]
+            assert np.array_equal(mask, values != 0.0)
+            assert kept.tobytes() == values[mask].tobytes()
+
+    def test_no_atom_off_zero_holds_no_level(self):
+        assert lp._held_levels(np.zeros(5), 6) == {}
+
+
 class TestDirectField:
     def test_zero_coordinate_gives_exact_zero(self):
         a = lp.sample_atoms(13, 500, 2)

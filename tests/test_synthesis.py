@@ -56,6 +56,63 @@ def naive_occupied_pairs(atoms, n):
     ]
 
 
+def serial_atom_fold(atoms, H, alpha, trunc, axes):
+    """The atom-route field formed in turn on this thread: every envelope on
+    every atom, a fresh phase table per chunk of lp._COLUMN_CHUNK atoms, the
+    conjugate copied per pair, and the fold of synthesis._accumulate."""
+    plans = [sy.axis_plan(float(h), float(alpha), trunc.n, trunc.M, ax.tobytes())
+             for h, ax in zip(H, axes)]
+    ks = np.arange(-trunc.k_cap, trunc.k_cap + 1)
+    weights = lp.atom_weights(atoms, alpha)
+    pts = atoms.points
+    lo = int(np.floor(np.log2(np.min(np.abs(pts[pts != 0.0]))))) - 4
+    held = [{}, {}]
+    for axis in (0, 1):
+        for j in range(lo, trunc.n + 1):
+            env = np.asarray(envelope(np.ldexp(pts[:, axis], -j)))
+            if np.any(env != 0.0):
+                held[axis][j] = env
+    on_other = [np.any([env != 0.0 for env in held[1 - axis].values()], axis=0)
+                for axis in (0, 1)]
+    with _blas.one_thread():
+        cols = [{}, {}]
+        for axis in (0, 1):
+            for j, env in held[axis].items():
+                sel = (env != 0.0) & on_other[axis]
+                if not sel.any():
+                    continue
+                x = np.ldexp(pts[sel, axis], -j)
+                f = 2.0 ** (-j / alpha) * (env[sel] / np.sqrt(2.0 * np.pi)) * np.exp(-0.5j * x)
+                if axis == 0:
+                    f *= weights[sel]
+                a = plans[axis].factors(j)[0]
+                c = np.empty((a.shape[1], x.size), dtype=complex)
+                for start in range(0, x.size, lp._COLUMN_CHUNK):
+                    part = slice(start, start + lp._COLUMN_CHUNK)
+                    phases = lp._lattice_phases(ks, x[part])
+                    c[:, part] = (a.T @ phases.view(float)).view(complex)
+                cols[axis][j] = (sel, c * f)
+        blocks = []
+        for j1, (s1, c1) in cols[0].items():
+            for j2, (s2, c2) in cols[1].items():
+                common = s1 & s2
+                if common.any():
+                    x = np.ascontiguousarray(c1[:, common[s1]])
+                    y = np.ascontiguousarray(np.conj(c2[:, common[s2]]))
+                    blocks.append((j1, j2, x.view(float) @ y.view(float).T))
+        bases, starts = [], []
+        for axis, plan in enumerate(plans):
+            levels = sorted({b[axis] for b in blocks})
+            parts = [plan.factors(j)[1] for j in levels]
+            bases.append(np.hstack(parts))
+            starts.append(dict(zip(levels, np.cumsum([0] + [p.shape[1] for p in parts]))))
+        core = np.zeros((bases[0].shape[1], bases[1].shape[1]))
+        for j1, j2, z in blocks:
+            r1, r2 = starts[0][j1], starts[1][j2]
+            core[r1:r1 + z.shape[0], r2:r2 + z.shape[1]] = z
+        return (bases[0] @ core) @ bases[1].T
+
+
 class TestTruncationDomain:
     def test_position_cap(self):
         assert sy.TruncationDomain(1, 1.0).k_cap == 4
@@ -361,6 +418,47 @@ class TestDeterminism:
                 rows[-1].append(a1.T @ (np.real(c) @ a2))
             bases = [np.hstack([p.factors(j)[1] for j in levels]) for p in plans]
             serial = (bases[0] @ np.block(rows)) @ bases[1].T
+        assert field.component(0).tobytes() == serial.tobytes()
+
+    # one worker, and more workers than cores with a short switch interval; at
+    # alpha = 1.5 through synthesize, at alpha = 2 through the shared-atom mode
+    @pytest.mark.parametrize("workers", [1, 7])
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_atom_route_equals_a_serial_fold_of_the_columns(self, workers, alpha, monkeypatch):
+        trunc = sy.TruncationDomain(4, 1.0)
+        H = (0.5, 0.7)
+        grid = (((0.1, 0.9), (0.15, 0.85)), (96, 80))
+        # chunks of 256 atoms: the larger levels fill several, then a partial one
+        monkeypatch.setattr(lp, "_COLUMN_CHUNK", 256)
+        monkeypatch.setattr(_parallel, "worker_count", lambda: workers)
+        callers = []
+        envelope_fn, factors = lp.envelope, sy.AxisPlan.factors
+
+        def traced_envelope(xi):
+            callers.append(threading.get_ident())
+            return envelope_fn(xi)
+
+        def traced_factors(plan, j):
+            callers.append(threading.get_ident())
+            return factors(plan, j)
+
+        monkeypatch.setattr(lp, "envelope", traced_envelope)
+        monkeypatch.setattr(sy.AxisPlan, "factors", traced_factors)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            if alpha == 2.0:
+                atoms = lp.sample_atoms(23, 3000, 2)
+                field = sy.synthesize_from_atoms(atoms, H, alpha, trunc, grid)
+            else:
+                field = sy.synthesize(H, alpha, trunc, grid, 23, count=3000)
+                atoms = lp.sample_atoms(component_seed(23, 0), 3000, 2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        assert callers and set(callers) == {threading.get_ident()}
+        serial = serial_atom_fold(atoms, H, alpha, trunc, field.axes)
         assert field.component(0).tobytes() == serial.tobytes()
 
     # the synth CLI at alpha = 2, its process pinned to one CPU before the import
