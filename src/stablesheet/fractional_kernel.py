@@ -36,18 +36,19 @@ _PARSEVAL_ALPHA = 2.0
 def check_hurst(H: object) -> np.ndarray:
     """H as a 1-D float array, or ValueError unless it is nonempty in (0, 1)^N."""
     H_arr = np.asarray(H, dtype=float).reshape(-1)
-    if H_arr.size == 0 or np.any((H_arr <= 0.0) | (H_arr >= 1.0)):
+    # written as "not inside", so that NaN is refused too
+    if H_arr.size == 0 or not np.all((H_arr > 0.0) & (H_arr < 1.0)):
         raise ValueError("H components must lie in (0, 1)")
     return H_arr
 
 
 def translation_cap(n: int, M: float) -> int:
-    """Largest translation |k| of the series window at level n >= 0, halfwidth M > 0.
+    """Largest translation |k| of the series window at level n >= 0, finite halfwidth M > 0.
 
     The window holds the scales j <= n and the translations |k| <= floor(M 2^(n+1)).
     """
-    if n < 0 or M <= 0.0:
-        raise ValueError("the series window needs n >= 0 and M > 0")
+    if not (n >= 0 and 0.0 < M < math.inf):
+        raise ValueError("the series window needs n >= 0 and a finite M > 0")
     return int(math.floor(M * 2.0 ** (n + 1)))
 
 

@@ -23,7 +23,7 @@ from .meyer_wavelet import RING_LOWER, RING_UPPER, TAU, check_alpha, envelope, p
 
 _GAUSS_COEFF_STD = math.sqrt(2.0)
 _ATOM_CHUNK = 8192
-# atoms per phase table in projected_atom_blocks, K x 2048 complex: the chunk
+# atoms per phase table in _projected_atom_blocks, K x 2048 complex: the chunk
 # partition fixes the shape of each GEMM operand, and so the bytes of a field
 _COLUMN_CHUNK = 2048
 _POINT_CHUNK = 512
@@ -235,12 +235,6 @@ def _gaussian_real_block(seed: int, j1: int, j2: int, k_cap: int) -> np.ndarray:
     return _ring_draws(seed, j1, j2, k_cap, float)[_ring_rank_lattice(k_cap)]
 
 
-def _scaled_axis(atoms: LePageAtoms, axis: int, j: int) -> tuple:
-    # the atoms' frequencies on one axis at scale j, with their envelope values
-    x = np.ldexp(atoms.points[:, axis], -j)
-    return x, np.asarray(envelope(x))
-
-
 def _lattice_phases(ks: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # e^{i k x} for the consecutive integers ks, from two short exp tables;
     # with out, a flat buffer of at least Q L x.size entries for
@@ -254,21 +248,22 @@ def _lattice_phases(ks: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
 
 def _atom_block(
     atoms: LePageAtoms, weights: np.ndarray, alpha: float, j1: int, j2: int,
-    ks: np.ndarray, axis1: tuple | None = None, axis2: tuple | None = None,
+    ks: np.ndarray, held1: tuple, held2: tuple,
 ) -> np.ndarray:
-    # axis1, axis2: _scaled_axis values at j1 and j2, when the caller has them
-    x1, e1 = _scaled_axis(atoms, 0, j1) if axis1 is None else axis1
-    x2, e2 = _scaled_axis(atoms, 1, j2) if axis2 is None else axis2
-    mask = (e1 != 0.0) & (e2 != 0.0)
+    # held1, held2: the _held_levels (mask, envelope values) of axis 0 at j1
+    # and of axis 1 at j2
+    (m1, e1), (m2, e2) = held1, held2
+    mask = m1 & m2
     out = np.zeros((ks.size, ks.size), dtype=complex)
     if not mask.any():
         return out
-    x1, x2 = x1[mask], x2[mask]
+    x1 = np.ldexp(atoms.points[mask, 0], -j1)
+    x2 = np.ldexp(atoms.points[mask, 1], -j2)
     coeff = (
         weights[mask]
         * 2.0 ** (-(j1 + j2) / alpha)
-        * (e1[mask] / math.sqrt(TAU))
-        * (e2[mask] / math.sqrt(TAU))
+        * (e1[mask[m1]] / math.sqrt(TAU))
+        * (e2[mask[m2]] / math.sqrt(TAU))
         * np.exp(-0.5j * (x1 + x2))
     )
     for start in range(0, coeff.size, _ATOM_CHUNK):
@@ -338,6 +333,11 @@ def _held_levels(x: np.ndarray, n: int) -> dict:
     return levels
 
 
+def gaussian_levels(n: int) -> range:
+    """The scales -n <= j <= n that the Gaussian route sums on each axis."""
+    return range(-int(n), int(n) + 1)
+
+
 def coarsest_levels(atoms: LePageAtoms, n: int) -> tuple:
     """Per axis, the coarsest scale j <= n at which some atom's envelope is
     nonzero, or None if there is none.
@@ -351,18 +351,39 @@ def coarsest_levels(atoms: LePageAtoms, n: int) -> tuple:
     )
 
 
+def _scale_window(atoms: LePageAtoms, n: int, gaussian: bool) -> tuple:
+    # The scale window of each route, as (held, pairs) with the pairs in
+    # lexicographic order. The Gaussian route sums every pair of
+    # gaussian_levels(n), and held is None. The atom route sums the pairs at
+    # which some atom is held on both axes, with held[l] the _held_levels of
+    # axis l: every other block is exactly zero.
+    if atoms.dimension != 2:
+        raise ValueError("scale pairs are two-dimensional")
+    if gaussian:
+        levels = gaussian_levels(n)
+        return None, [(j1, j2) for j1 in levels for j2 in levels]
+    held = [_held_levels(atoms.points[:, axis], n) for axis in (0, 1)]
+    return held, [
+        (j1, j2) for j1, (m1, _) in held[0].items() for j2, (m2, _) in held[1].items()
+        if bool(np.any(m1 & m2))
+    ]
+
+
 def occupied_scale_pairs(atoms: LePageAtoms, n: int) -> list:
     """Scale pairs (j1, j2) with j1, j2 <= n at which some atom's envelope is
     nonzero on both axes, in lexicographic order. These are the nonzero blocks
     of the atom route."""
-    if atoms.dimension != 2:
-        raise ValueError("scale pairs are two-dimensional")
-    lv1 = _held_levels(atoms.points[:, 0], int(n))
-    lv2 = _held_levels(atoms.points[:, 1], int(n))
-    return [
-        (j1, j2) for j1, (m1, _) in lv1.items() for j2, (m2, _) in lv2.items()
-        if bool(np.any(m1 & m2))
-    ]
+    return _scale_window(atoms, int(n), gaussian=False)[1]
+
+
+def _route(atoms: LePageAtoms, alpha: float, n: int, M: float, mode: str) -> tuple:
+    # The choice of coefficient law for both block sources: iid Gaussian at
+    # alpha = 2 in mode "auto", LePage atom sums otherwise. Returns
+    # (k_cap, held, pairs), the last two from the law's _scale_window
+    if mode not in ("auto", "atoms"):
+        raise ValueError(f"unknown mode {mode!r}")
+    k_cap = translation_cap(int(n), float(M))
+    return k_cap, *_scale_window(atoms, int(n), float(alpha) == 2.0 and mode == "auto")
 
 
 def coefficient_blocks(
@@ -376,95 +397,105 @@ def coefficient_blocks(
     route at alpha = 2 so blocks stay pathwise consistent with direct_field.
 
     Scale window: the Gaussian route (alpha = 2, mode "auto") yields every
-    pair with -n <= j_l <= n. On the atom route each axis runs from
+    pair of gaussian_levels(n). On the atom route each axis runs from
     coarsest_levels(atoms, n) up to n, with no cut at -n: a block holds only the
     atoms whose envelope is nonzero at that scale, so every coarser block is
     exactly zero and the coarse sum is finite. Only the occupied pairs, those
     of occupied_scale_pairs(atoms, n), are yielded.
     """
     alpha = float(alpha)
-    n, M = int(n), float(M)
-    if atoms.dimension != 2:
-        raise ValueError("coefficient blocks are two-dimensional")
-    if mode not in ("auto", "atoms"):
-        raise ValueError(f"unknown mode {mode!r}")
-    k_cap = translation_cap(n, M)
-    ks = np.arange(-k_cap, k_cap + 1)
-    if alpha == 2.0 and mode == "auto":
-        for j1 in range(-n, n + 1):
-            for j2 in range(-n, n + 1):
-                yield j1, j2, _gaussian_block(atoms.seed, j1, j2, k_cap)
+    k_cap, held, pairs = _route(atoms, alpha, n, M, mode)
+    if held is None:
+        for j1, j2 in pairs:
+            yield j1, j2, _gaussian_block(atoms.seed, j1, j2, k_cap)
         return
+    ks = np.arange(-k_cap, k_cap + 1)
     weights = atom_weights(atoms, alpha)
-    # pairs come j1-major: keep the current row's axis-0 values and every
-    # axis-1 level seen so far, so each envelope is evaluated once per level
-    row, axis2 = None, {}
-    for j1, j2 in occupied_scale_pairs(atoms, n):
-        if row is None or row[0] != j1:
-            row = (j1, _scaled_axis(atoms, 0, j1))
-        if j2 not in axis2:
-            axis2[j2] = _scaled_axis(atoms, 1, j2)
+    for j1, j2 in pairs:
         with _blas.one_thread():
-            block = _atom_block(atoms, weights, alpha, j1, j2, ks, row[1], axis2[j2])
+            block = _atom_block(atoms, weights, alpha, j1, j2, ks, held[0][j1], held[1][j2])
         yield j1, j2, block
 
 
-def projected_atom_blocks(
-    atoms: LePageAtoms, alpha: float, n: int, M: float, factor
+def projected_blocks(
+    atoms: LePageAtoms, alpha: float, n: int, M: float, factor, mode: str
 ) -> list:
-    """(j1, j2, Z) with Z = Re(A1^T C A2) over the occupied scale pairs.
+    """(j1, j2, Z) with Z = Re(A1^T C A2), over the pairs of coefficient_blocks
+    and in its order.
 
-    C is the atom-route block of coefficient_blocks (mode "atoms") at (j1, j2)
+    C is the block of coefficient_blocks(atoms, alpha, n, M, mode) at (j1, j2),
     and A_l = factor(l, j_l) is a real matrix with one row per translation
-    |k| <= k_cap. C is never formed: its coefficient is separable per atom,
-    w_a f_1(a, j1) f_2(a, j2) e^{i (k1 x1 + k2 x2)}, so each axis level gets
-    one column per atom it holds, h_l(a, j) = f_l(a, j) sum_k e^{i k x} A_l[k, :],
-    and Z = Re(sum_a w_a h_1(a, j1) h_2(a, j2)^T) over the atoms of the pair.
-    Pairs come in the lexicographic order of occupied_scale_pairs; only atoms
-    held on both axes get columns.
-
-    The columns and blocks are computed on the thread pool (see _parallel):
-    first one task per axis-1 level, then one task per axis-0 level, which
-    forms its row of blocks. Every factor, mask and envelope value is computed
-    here first, on the calling thread, and so are the axis-1 columns and one
-    phase buffer per worker.
+    |k| <= k_cap. The blocks are computed on the thread pool (see _parallel),
+    and every factor is computed here first, on the calling thread.
     """
     alpha = float(alpha)
-    n, M = int(n), float(M)
-    if atoms.dimension != 2:
-        raise ValueError("coefficient blocks are two-dimensional")
-    k_cap = translation_cap(n, M)
+    k_cap, held, pairs = _route(atoms, alpha, n, M, mode)
+    factors = [{j: factor(axis, j) for j in sorted({p[axis] for p in pairs})} for axis in (0, 1)]
+    if held is None:
+        return _projected_gaussian_blocks(atoms.seed, pairs, k_cap, factors)
+    return _projected_atom_blocks(atoms, alpha, held, pairs, k_cap, factors)
+
+
+def _projected_gaussian_blocks(seed: int, pairs: list, k_cap: int, factors: list) -> list:
+    # Each pair reads its own stream, so each is drawn (real parts only) and
+    # projected in its own task; the ring order is built here first, on the
+    # calling thread
+    _ring_rank_lattice(k_cap)
+
+    def project(pair: tuple) -> tuple:
+        j1, j2 = pair
+        re = _gaussian_real_block(seed, j1, j2, k_cap)
+        return j1, j2, factors[0][j1].T @ (re @ factors[1][j2])
+
+    return _parallel.ordered_map(project, pairs)
+
+
+def _projected_atom_blocks(
+    atoms: LePageAtoms, alpha: float, held: list, pairs: list, k_cap: int, factors: list
+) -> list:
+    # C is never formed: its coefficient is separable per atom,
+    # w_a f_1(a, j1) f_2(a, j2) e^{i (k1 x1 + k2 x2)}, so each axis level gets
+    # one column per atom it holds, h_l(a, j) = f_l(a, j) sum_k e^{i k x} A_l[k, :],
+    # and Z = Re(sum_a w_a h_1(a, j1) h_2(a, j2)^T) over the atoms of the pair.
+    # Only atoms held on both axes get columns. The pool runs one task per
+    # axis-1 level, then one task per axis-0 level, which forms its row of
+    # blocks.
+    if not pairs:
+        return []
     ks = np.arange(-k_cap, k_cap + 1)
     weights = atom_weights(atoms, alpha)
-    held = [_held_levels(atoms.points[:, axis], n) for axis in (0, 1)]
     # on_other[l]: the atoms that some level of the other axis holds
     on_other = [np.zeros(atoms.count, dtype=bool) for _ in held]
     for axis, levels in enumerate(held):
         for mask, _ in levels.values():
             on_other[1 - axis] |= mask
-    # per axis, (j, atoms, their envelope values, A_l(j)) of each level with columns
-    tasks = [[], []]
-    for axis, levels in enumerate(held):
-        for j, (mask, env) in levels.items():
+    # per axis, {j: (atoms, their envelope values, A_l(j))} of each level of a pair
+    tasks = [{}, {}]
+    for axis, levels in enumerate(factors):
+        for j, a in levels.items():
+            mask, env = held[axis][j]
             sel = mask & on_other[axis]
-            if sel.any():
-                tasks[axis].append((j, sel, env[sel[mask]], factor(axis, j)))
-    if not tasks[0]:
-        return []
+            tasks[axis][j] = (sel, env[sel[mask]], a)
+    partners = {}
+    for j1, j2 in pairs:
+        partners.setdefault(j1, []).append(j2)
     # Made here: one phase buffer per worker, the largest array a task uses,
-    # and every axis-1 column array, which outlives its task
+    # and every axis-1 column array, which outlives its task. Made by the
+    # workers instead, they raised a process's peak RSS by 15% or more (see
+    # _parallel)
     Q, L = progression_rows(ks.size)
-    widest = max(env.size for _, _, env, _ in tasks[0] + tasks[1])
+    widest = max(env.size for levels in tasks for _, env, _ in levels.values())
     import queue  # here: at module level it would add to every process's start-up
 
     spare = queue.SimpleQueue()
     for _ in range(min(_parallel.worker_count(), max(len(t) for t in tasks))):
         spare.put(np.empty(Q * L * min(widest, _COLUMN_CHUNK), dtype=complex))
-    cols2 = [np.empty((a.shape[1], env.size), dtype=complex) for _, _, env, a in tasks[1]]
+    cols2 = {j: np.empty((a.shape[1], env.size), dtype=complex)
+             for j, (_, env, a) in tasks[1].items()}
 
-    def columns(axis: int, task: tuple, out: np.ndarray) -> np.ndarray:
-        # out[:, a] = h_l(a, j) for the task's atoms a, times w_a on axis 0
-        j, sel, env, a = task
+    def columns(axis: int, j: int, out: np.ndarray) -> np.ndarray:
+        # out[:, a] = h_l(a, j) for the level's atoms a, times w_a on axis 0
+        sel, env, a = tasks[axis][j]
         x = np.ldexp(atoms.points[sel, axis], -j)
         f = 2.0 ** (-j / alpha) * (env / math.sqrt(TAU)) * np.exp(-0.5j * x)
         if axis == 0:
@@ -484,26 +515,24 @@ def projected_atom_blocks(
         out *= f
         return out
 
-    def axis1(item: tuple) -> None:
-        task, out = item
+    def axis1(j2: int) -> None:
         # conjugated once per level, for every pair's Re(x y^T) below
-        np.conjugate(columns(1, task, out), out=out)
+        np.conjugate(columns(1, j2, cols2[j2]), out=cols2[j2])
 
-    def row(task: tuple) -> list:
-        j1, sel1, env1, a = task
-        cols1 = columns(0, task, np.empty((a.shape[1], env1.size), dtype=complex))
+    def row(j1: int) -> list:
+        sel1, env1, a = tasks[0][j1]
+        cols1 = columns(0, j1, np.empty((a.shape[1], env1.size), dtype=complex))
         blocks = []
-        for (j2, sel2, _, _), cols in zip(tasks[1], cols2):
+        for j2 in partners[j1]:
+            sel2 = tasks[1][j2][0]
             common = sel1 & sel2
-            if not common.any():
-                continue
             # Re(x conj(y)^T) = x_re y_re^T - x_im y_im^T, one GEMM on interleaved parts
             x = np.ascontiguousarray(cols1[:, common[sel1]])
-            y = np.ascontiguousarray(cols[:, common[sel2]])
+            y = np.ascontiguousarray(cols2[j2][:, common[sel2]])
             blocks.append((j1, j2, x.view(float) @ y.view(float).T))
         return blocks
 
-    _parallel.ordered_map(axis1, zip(tasks[1], cols2))
+    _parallel.ordered_map(axis1, tasks[1])
     rows = _parallel.ordered_map(row, tasks[0])
     return [block for blocks in rows for block in blocks]
 

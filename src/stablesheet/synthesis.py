@@ -6,13 +6,11 @@ columns grid points, scaled by 2^{-jH}). On a bounded grid each W_j has a small
 numerical rank, so the series is folded through one plan per axis: the
 truncated SVD W_j ~ A_j B_j^T, keeping the singular values above 1e-15 times
 the largest. A field is then B1 Z B2^T, where Z stacks the small blocks
-Z_{j1,j2} = A1_{j1}^T Re(C_{j1,j2}) A2_{j2}. The Gaussian route draws and
-projects the blocks on a thread pool, one scale pair per task (see _parallel);
-the atom route forms Z in atom space without any block, on the same pool, one
-axis level per task (see lepage.projected_atom_blocks). Plans are cached
-across calls, and every product
-runs on one BLAS thread, so the bytes depend neither on the BLAS or pool thread
-counts nor on what the process computed before.
+Z_{j1,j2} = A1_{j1}^T Re(C_{j1,j2}) A2_{j2}. lepage.projected_blocks picks the
+coefficient law and its scale window, and forms the Z blocks on a thread pool.
+Plans are cached across calls, and every product runs on one BLAS thread, so
+the bytes depend neither on the BLAS or pool thread counts nor on what the
+process computed before.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _blas, _parallel, lepage
+from . import _blas, lepage
 from ._rng import component_seed
 from .fractional_kernel import check_hurst, kappa, table_for, translation_cap, w_coeff
 from .meyer_wavelet import check_alpha
@@ -37,12 +35,8 @@ VERSION = "0.1.0"
 class TruncationDomain:
     """Series index window: positions |k_l| <= M 2^(n+1) and scales j_l <= n.
 
-    The coarse end depends on the coefficient route. The Gaussian route
-    (alpha = 2, mode "auto") keeps j_l >= -n, since its coarse tail is
-    infinite. The atom route (alpha < 2, or mode "atoms") keeps every coarser
-    scale that holds an atom of the pool: axis l starts at
-    lepage.coarsest_levels(atoms, n)[l], below which every block is exactly
-    zero.
+    The coarse end of the scale window goes with the coefficient law, and
+    lepage sets both (see lepage.coefficient_blocks).
     """
 
     n: int
@@ -51,26 +45,11 @@ class TruncationDomain:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "M", float(self.M))
-        translation_cap(self.n, self.M)  # raises on a window with n < 0 or M <= 0
+        translation_cap(self.n, self.M)  # raises unless n >= 0 and M is finite and > 0
 
     @property
     def k_cap(self) -> int:
         return translation_cap(self.n, self.M)
-
-    def contains(self, J: object, K: object, coarsest: object = None) -> bool:
-        """Whether index (J, K) lies in the window.
-
-        coarsest gives the lowest scale per axis: None means -n (the Gaussian
-        route); the atom route passes lepage.coarsest_levels(atoms, n), whose
-        None entries (an axis with no atom off zero) admit no scale.
-        """
-        J_arr = np.atleast_1d(np.asarray(J, dtype=int))
-        K_arr = np.atleast_1d(np.asarray(K, dtype=int))
-        lo = -self.n if coarsest is None else np.asarray(coarsest, dtype=float)
-        return bool(
-            np.all((J_arr >= lo) & (J_arr <= self.n))
-            and np.all(np.abs(K_arr) <= self.k_cap)
-        )
 
 
 @dataclass
@@ -161,27 +140,6 @@ def axis_plan(v: float, alpha: float, n: int, M: float, axis: bytes) -> AxisPlan
     return AxisPlan(v, alpha, n, M, np.frombuffer(axis, dtype=float))
 
 
-def _gaussian_blocks(seed: int, trunc: TruncationDomain, factor) -> list:
-    """(j1, j2, A1_j1^T Re(C) A2_j2) over -n <= j1, j2 <= n, in lexicographic order.
-
-    C is the Gaussian block of lepage.coefficient_blocks at (j1, j2). Each
-    pair reads its own stream, so the pairs are drawn and projected on the
-    thread pool; every factor and the ring order are built here first, on
-    the calling thread.
-    """
-    levels = range(-trunc.n, trunc.n + 1)
-    a1 = {j: factor(0, j) for j in levels}
-    a2 = {j: factor(1, j) for j in levels}
-    lepage._ring_rank_lattice(trunc.k_cap)
-
-    def project(pair: tuple) -> tuple:
-        j1, j2 = pair
-        re = lepage._gaussian_real_block(seed, j1, j2, trunc.k_cap)
-        return j1, j2, a1[j1].T @ (re @ a2[j2])
-
-    return _parallel.ordered_map(project, [(j1, j2) for j1 in levels for j2 in levels])
-
-
 def _accumulate(
     atoms,
     H: np.ndarray,
@@ -199,10 +157,7 @@ def _accumulate(
         return plans[axis].factors(j)[0]
 
     with _blas.one_thread():
-        if alpha == 2.0 and mode == "auto":
-            blocks = _gaussian_blocks(atoms.seed, trunc, factor)
-        else:
-            blocks = lepage.projected_atom_blocks(atoms, alpha, trunc.n, trunc.M, factor)
+        blocks = lepage.projected_blocks(atoms, alpha, trunc.n, trunc.M, factor, mode)
         if not blocks:
             return np.zeros((len(axes[0]), len(axes[1])))
         # stack exactly the levels this field needs, in ascending j, so its
@@ -260,9 +215,9 @@ def synthesize(
     grid is (bounds, shape) with bounds inside [-M, M]^2. Components of a
     vector field (d > 1) are synthesized from independent per-component
     streams derived from the master seed. alpha = 2 draws coefficients from
-    their exact Gaussian law on the scales -n <= j_l <= n; below 2 a fresh
-    atom pool of `count` atoms drives the LePage coefficients, on every scale
-    pair up to n that holds an atom (see lepage.coefficient_blocks).
+    their exact Gaussian law, and count is ignored; below 2 a fresh pool of
+    `count` atoms drives the LePage coefficients. lepage.coefficient_blocks
+    gives each law's scale window.
     """
     alpha = check_alpha(alpha)
     H_arr = check_hurst(H)
@@ -285,7 +240,8 @@ def synthesize(
     atom_count = 0 if alpha == 2.0 else int(count)
     for i in range(int(d)):
         sub_seed = component_seed(seed, i)
-        atoms = lepage.sample_atoms(sub_seed, max(atom_count, 1), 2)
+        # the Gaussian law reads only the pool's seed
+        atoms = lepage.sample_atoms(sub_seed, count if alpha < 2.0 else 1, 2)
         values[i] = _accumulate(atoms, H_arr, alpha, trunc, axes, "auto")
     law = "gaussian" if alpha == 2.0 else "lepage"
     meta = _field_meta(H_arr, alpha, trunc, axes, seed, atom_count, d, law)
@@ -456,7 +412,7 @@ def truncated_point_variance(H: object, trunc: TruncationDomain, t: object) -> d
     for h, x in zip(H_arr, t_arr):
         table = table_for(float(h), 2.0, trunc.n, trunc.M)
         s = 0.0
-        for j in range(-trunc.n, trunc.n + 1):
+        for j in lepage.gaussian_levels(trunc.n):
             w = w_coeff(table, j, ks, x)
             s += float(np.sum(w**2))
         axis_sums.append(s)

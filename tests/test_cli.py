@@ -574,6 +574,31 @@ class TestCliContract:
              "--out", "{tmp}/e.csv"],
             None,
         ),
+        **{
+            f"synth-{name}": (
+                ["synth", "--seed", "7", "--alpha", "1.5", "--hurst", "0.5,0.7",
+                 "--n", "2", "--M", "1.0", "--bounds", "0.1,0.9x0.1,0.9",
+                 "--grid", "8x8", "--count", "500", "--out", "{tmp}/s.zh", *edit],
+                None,
+            )
+            for name, edit in (("count-zero", ["--count", "0"]),
+                               ("count-negative", ["--count", "-5"]),
+                               ("M-infinite", ["--M", "inf"]))
+        },
+        "formula-hurst-nan": (
+            ["formula", "--hurst", "nan,0.5", "--d", "1", "--dimF", "0"],
+            None,
+        ),
+        "covering-hurst-nan": (
+            ["levelset-dim", "--what", "covering", "--hurst", "nan,0.5",
+             "--out", "{tmp}/d.csv"],
+            None,
+        ),
+        "covering-repeated-scales": (
+            ["levelset-dim", "--what", "covering", "--hurst", "0.5,0.5",
+             "--scales", "2,2,3", "--out", "{tmp}/d.csv"],
+            None,
+        ),
     }
 
     @pytest.mark.parametrize("argv, config", MALFORMED.values(), ids=MALFORMED.keys())

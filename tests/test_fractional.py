@@ -146,6 +146,19 @@ class TestSeriesFactor:
         assert d["c_neg"] == pytest.approx(87.5922, rel=1e-3)
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize("H", [(float("nan"), 0.5), (0.5, float("inf")), (-float("inf"),)])
+    def test_hurst_must_be_finite(self, H):
+        with pytest.raises(ValueError):
+            fk.check_hurst(H)
+
+    @pytest.mark.parametrize("M", [float("inf"), float("nan")])
+    def test_window_halfwidth_must_be_finite(self, M):
+        with pytest.raises(ValueError):
+            fk.translation_cap(2, M)
+        assert fk.translation_cap(2, 1.0) == 8
+
+
 class TestKernel:
     def test_zero_frequency_and_zero_time(self):
         assert fk.kernel_axis(0.7, 0.0, 0.5, 1.5) == 0.0

@@ -281,6 +281,8 @@ class TestBoxCountDimension:
         pts = np.array([[0.5, 0.5]])
         with pytest.raises(ValueError):
             ge.box_count_dimension(pts, ((0, 1), (0, 1)), "euclidean", (1, 2))
+        with pytest.raises(ValueError, match="distinct"):
+            ge.box_count_dimension(pts, ((0, 1), (0, 1)), "euclidean", (2, 2, 3))
         with pytest.raises(ValueError):
             ge.box_count_dimension(
                 np.array([[1.5, 0.5]]), ((0, 1), (0, 1)), "euclidean", (1, 2, 3)
@@ -292,7 +294,7 @@ class TestBoxCountDimension:
 
     def test_hurst_vector_out_of_range_is_refused(self):
         pts = np.random.default_rng(3).uniform(0, 1, (50, 2))
-        for H in ((1.5, 0.5), (-0.5, 0.5)):
+        for H in ((1.5, 0.5), (-0.5, 0.5), (float("nan"), 0.5)):
             with pytest.raises(ValueError):
                 ge.box_count_dimension(pts, ((0, 1), (0, 1)), H, (1, 2, 3))
 

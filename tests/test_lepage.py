@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from stablesheet import _blas
 from stablesheet import lepage as lp
 from stablesheet._rng import stream
 from stablesheet.fractional_kernel import kernel_axis, scale_sigma
@@ -199,6 +200,12 @@ class TestRingOrder:
             np.real(lp._gaussian_block(8, -3, 2, k_cap))).tobytes()
 
 
+def held_block(atoms, weights, alpha, j1, j2, ks):
+    """lp._atom_block at (j1, j2), given the held levels of both axes."""
+    held = [lp._held_levels(atoms.points[:, axis], max(j1, j2)) for axis in (0, 1)]
+    return lp._atom_block(atoms, weights, alpha, j1, j2, ks, held[0][j1], held[1][j2])
+
+
 class TestCoefficient:
     def test_translation_phase_identity(self):
         # moving K multiplies the coefficient by a pure phase set by the atom
@@ -220,7 +227,7 @@ class TestCoefficient:
         a = lp.sample_atoms(7, 300, 2)
         ks = np.arange(-2, 3)
         weights = lp.atom_weights(a, 1.5)
-        block = lp._atom_block(a, weights, 1.5, 1, -1, ks)
+        block = held_block(a, weights, 1.5, 1, -1, ks)
         for ki, k1 in enumerate(ks):
             for kj, k2 in enumerate(ks):
                 scalar = lp.coefficient(a, (1, -1), (k1, k2), 1.5)
@@ -237,7 +244,7 @@ class TestCoefficient:
         occupied = lp.occupied_scale_pairs(a, 6)
         for j1, j2 in ((-12, -3), (6, -3), (-3, 6)):
             assert (j1, j2) in occupied
-            block = lp._atom_block(a, weights, 1.5, j1, j2, ks)
+            block = held_block(a, weights, 1.5, j1, j2, ks)
             for k1, k2 in ((-k_cap, -k_cap), (-k_cap, k_cap), (k_cap, -k_cap),
                            (k_cap, k_cap), (0, 0)):
                 scalar = lp.coefficient(a, (j1, j2), (k1, k2), 1.5)
@@ -329,6 +336,33 @@ class TestHeldLevels:
 
     def test_no_atom_off_zero_holds_no_level(self):
         assert lp._held_levels(np.zeros(5), 6) == {}
+
+    def test_atom_route_window_starts_at_the_coarsest_levels(self):
+        atoms = lp.sample_atoms(3, 20000, 2)
+        assert lp.coarsest_levels(atoms, 2) == (-13, -19)
+        pairs = lp.occupied_scale_pairs(atoms, 2)
+        assert min(j1 for j1, _ in pairs) == -13 and max(j1 for j1, _ in pairs) <= 2
+        assert min(j2 for _, j2 in pairs) == -19 and max(j2 for _, j2 in pairs) <= 2
+
+
+class TestProjectedBlocks:
+    @pytest.mark.parametrize("alpha, mode", [(2.0, "auto"), (2.0, "atoms"), (1.5, "auto")])
+    def test_both_block_sources_give_the_same_pairs(self, alpha, mode):
+        # Z = Re(A1^T C A2) for the block C of each pair, in the same order
+        a = lp.sample_atoms(4, 2000, 2)
+        n, M = 2, 1.0
+        size = 2 * lp.translation_cap(n, M) + 1
+
+        def factor(axis, j):
+            return np.random.default_rng([axis, j + 100]).standard_normal((size, 3))
+
+        with _blas.one_thread():
+            projected = lp.projected_blocks(a, alpha, n, M, factor, mode)
+        blocks = list(lp.coefficient_blocks(a, alpha, n, M, mode))
+        assert [(j1, j2) for j1, j2, _ in projected] == [(j1, j2) for j1, j2, _ in blocks]
+        for (j1, j2, z), (_, _, c) in zip(projected, blocks):
+            want = factor(0, j1).T @ np.real(c) @ factor(1, j2)
+            assert np.allclose(z, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
 
 
 class TestDirectField:

@@ -119,27 +119,14 @@ class TestTruncationDomain:
         assert sy.TruncationDomain(6, 2.0).k_cap == 256
         assert sy.TruncationDomain(2, 0.6).k_cap == 4
 
-    def test_contains(self):
-        trunc = sy.TruncationDomain(2, 1.0)
-        assert trunc.contains((2, -2), (8, -8))
-        assert not trunc.contains((3, 0), (0, 0))
-        assert not trunc.contains((0, 0), (9, 0))
-
-    def test_contains_atom_route_window(self):
-        trunc = sy.TruncationDomain(2, 1.0)
-        atoms = lp.sample_atoms(3, 20000, 2)
-        coarsest = lp.coarsest_levels(atoms, trunc.n)
-        assert coarsest == (-13, -19)
-        assert trunc.contains(coarsest, (0, 0), coarsest)
-        assert not trunc.contains((coarsest[0] - 1, 0), (0, 0), coarsest)
-        assert not trunc.contains((0, 3), (0, 0), coarsest)
-        assert not trunc.contains(coarsest, (0, 0))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             sy.TruncationDomain(-1, 1.0)
         with pytest.raises(ValueError):
             sy.TruncationDomain(2, 0.0)
+        for M in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                sy.TruncationDomain(2, M)
 
 
 class TestGridAxes:
@@ -563,6 +550,15 @@ class TestValidation:
             sy.synthesize((0.5, 0.7, 0.5), 1.5, trunc, self.GRID, 1, count=50)
         with pytest.raises(ValueError):
             sy.synthesize((0.5, 0.7), 1.5, trunc, self.GRID, 1, d=0, count=50)
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_atom_count_below_one_is_rejected(self, count):
+        trunc = sy.TruncationDomain(1, 1.0)
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            sy.synthesize((0.5, 0.7), 1.5, trunc, self.GRID, 1, count=count)
+        # the Gaussian law draws no atoms, so the count is ignored there
+        field = sy.synthesize((0.5, 0.7), 2.0, trunc, self.GRID, 1, count=count)
+        assert field.meta["atoms"] == 0
 
 
 class TestTransferCheck:
