@@ -17,14 +17,16 @@ level's atom columns, or one row of blocks. A task keeps these rules:
 - no task calls a function that a tracer may rebind from outside (the
   tables' psi, lepage.envelope, ...): the tracer's span stack is not
   thread-safe;
-- large outputs, and scratch buffers that every task reuses, are allocated
-  by the caller: memory a worker thread frees stays in its own malloc arena,
-  and adds to the peak. On 2 CPUs with one BLAS thread, a process that
-  synthesized two 512^2 alpha = 1.5 fields of 20 000 atoms and one 128^2
-  alpha = 1.5 field peaked at 141-146 MB (ru_maxrss, 5 runs) with the atom
-  route's caller-allocated buffers, and at 168-195 MB (+15% or more in every
-  run) when the workers made their own phase tables, with or without their
-  own axis-1 columns.
+- a task makes its own scratch, and the caller makes any output that outlives
+  a task: memory a worker thread frees stays in its own malloc arena and adds
+  to the peak, so a task's scratch must stay small. On 2 CPUs with one BLAS
+  thread, a process that synthesized two 512^2 alpha = 1.5 fields of 20 000
+  atoms, one 128^2 alpha = 1.5 field and six more 512^2 fields peaked at
+  130.6-132.1 MB (ru_maxrss, 10 runs) with the atom route's tasks making
+  their own 2.6 MB phase tables and the caller making the axis-1 columns;
+  at 141.0-157.3 MB (5 runs) with the workers making those columns too; and
+  at 143.6-148.0 MB (5 runs) with one caller-made 10.6 MB phase buffer per
+  worker.
 """
 
 from __future__ import annotations

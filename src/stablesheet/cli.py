@@ -305,7 +305,7 @@ def _levelset_dim(o: dict, run: str) -> dict:
         )
         Q = float(sum(1.0 / h for h in hurst))
         deviation = abs(est.slope / Q - 1.0)
-        rows = list(zip(scales, est.box_counts))
+        rows = [[scale, count] for scale, _, count in est.box_counts]
         fieldio.write_csv(o["out"], ["scale", "box_count"], rows, run=run)
         return {
             "what": "covering", "slope": est.slope, "Q": Q,

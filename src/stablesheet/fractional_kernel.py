@@ -58,12 +58,6 @@ def _check_v_alpha(v: float, alpha: float) -> tuple[float, float]:
     return float(v), check_alpha(alpha)
 
 
-def progression_rows(count: int) -> tuple:
-    """(Q, L): the row counts of progression_phases's coarse and fine tables."""
-    L = math.isqrt(count)
-    return -(-count // L), L
-
-
 def progression_phases(start: float, step: float, count: int, freq: object) -> tuple:
     """Two short tables that factor e^{i t_l f} over t_l = start + l step, l < count.
 
@@ -73,7 +67,8 @@ def progression_phases(start: float, step: float, count: int, freq: object) -> t
     about 2 sqrt(count) complex exponentials per frequency instead of count.
     """
     f = np.asarray(freq, dtype=float)
-    Q, L = progression_rows(count)
+    L = math.isqrt(count)
+    Q = -(-count // L)
     coarse = np.exp(1j * np.outer(start + step * (L * np.arange(Q)), f))
     fine = np.exp(1j * np.outer(step * np.arange(L), f))
     return coarse, fine

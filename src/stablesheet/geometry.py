@@ -508,8 +508,8 @@ def box_count_dimension(
             raise ValueError("metric must be 'euclidean' or a Hurst vector")
         metric_name = "rho"
     scale_list = sorted(int(m) for m in scales)
-    if len(set(scale_list)) < 3:
-        raise ValueError("need at least 3 distinct scales")
+    if len(scale_list) < 3 or len(set(scale_list)) < len(scale_list):
+        raise ValueError("need at least 3 scales, all distinct")
     counts, sides_log = [], []
     table = []
     for m in scale_list:

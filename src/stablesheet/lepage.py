@@ -17,15 +17,17 @@ import numpy as np
 from . import _blas, _parallel
 from ._rng import stream
 from .fractional_kernel import (
-    check_hurst, kernel_phases, progression_phases, progression_rows, translation_cap,
+    check_hurst, kernel_phases, progression_phases, translation_cap,
 )
 from .meyer_wavelet import RING_LOWER, RING_UPPER, TAU, check_alpha, envelope, psi_hat_ajk
 
 _GAUSS_COEFF_STD = math.sqrt(2.0)
 _ATOM_CHUNK = 8192
-# atoms per phase table in _projected_atom_blocks, K x 2048 complex: the chunk
-# partition fixes the shape of each GEMM operand, and so the bytes of a field
-_COLUMN_CHUNK = 2048
+# atoms per phase table in _projected_atom_blocks, K x 512 complex. The chunk
+# partition fixes the shape of each GEMM operand, and so the bytes of a field.
+# Each task makes its own tables, and what a worker thread frees stays in its
+# malloc arena, so a table must stay small: 2.6 MB at K = 321
+_COLUMN_CHUNK = 512
 _POINT_CHUNK = 512
 _DRAW_CHUNK = 16384  # coefficients per read of a Gaussian stream: 256 kB of normals
 _PHASE_TABLE_TERMS = 1 << 17  # largest direct_field point table a pool keeps: 1 MB of floats
@@ -235,14 +237,10 @@ def _gaussian_real_block(seed: int, j1: int, j2: int, k_cap: int) -> np.ndarray:
     return _ring_draws(seed, j1, j2, k_cap, float)[_ring_rank_lattice(k_cap)]
 
 
-def _lattice_phases(ks: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # e^{i k x} for the consecutive integers ks, from two short exp tables;
-    # with out, a flat buffer of at least Q L x.size entries for
-    # (Q, L) = progression_rows(ks.size), the products are formed in it
+def _lattice_phases(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # e^{i k x} for the consecutive integers ks, from two short exp tables
     coarse, fine = progression_phases(float(ks[0]), 1.0, ks.size, x)
-    if out is not None:
-        out = out[: coarse.shape[0] * fine.shape[0] * x.size].reshape(-1, fine.shape[0], x.size)
-    phases = np.multiply(coarse[:, None, :], fine[None, :, :], out=out)
+    phases = coarse[:, None, :] * fine[None, :, :]
     return phases.reshape(-1, x.size)[: ks.size]
 
 
@@ -479,17 +477,8 @@ def _projected_atom_blocks(
     partners = {}
     for j1, j2 in pairs:
         partners.setdefault(j1, []).append(j2)
-    # Made here: one phase buffer per worker, the largest array a task uses,
-    # and every axis-1 column array, which outlives its task. Made by the
-    # workers instead, they raised a process's peak RSS by 15% or more (see
-    # _parallel)
-    Q, L = progression_rows(ks.size)
-    widest = max(env.size for levels in tasks for _, env, _ in levels.values())
-    import queue  # here: at module level it would add to every process's start-up
-
-    spare = queue.SimpleQueue()
-    for _ in range(min(_parallel.worker_count(), max(len(t) for t in tasks))):
-        spare.put(np.empty(Q * L * min(widest, _COLUMN_CHUNK), dtype=complex))
+    # Made here: every axis-1 column array, which outlives its task. Made by
+    # the workers, they raised a process's peak RSS by 8% or more (see _parallel)
     cols2 = {j: np.empty((a.shape[1], env.size), dtype=complex)
              for j, (_, env, a) in tasks[1].items()}
 
@@ -501,17 +490,11 @@ def _projected_atom_blocks(
         if axis == 0:
             f *= weights[sel]
         parts = out.view(float)
-        phases = spare.get()
-        try:
-            # the atoms go in chunks of _COLUMN_CHUNK: the chunks fix the shape
-            # of each GEMM, and so the bytes of the columns
-            for start in range(0, x.size, _COLUMN_CHUNK):
-                stop = min(start + _COLUMN_CHUNK, x.size)
-                table = _lattice_phases(ks, x[start:stop], phases)
-                # a real factor times complex phases: one real GEMM on the interleaved parts
-                np.matmul(a.T, table.view(float), out=parts[:, 2 * start:2 * stop])
-        finally:
-            spare.put(phases)
+        for start in range(0, x.size, _COLUMN_CHUNK):
+            stop = min(start + _COLUMN_CHUNK, x.size)
+            table = _lattice_phases(ks, x[start:stop])
+            # a real factor times complex phases: one real GEMM on the interleaved parts
+            np.matmul(a.T, table.view(float), out=parts[:, 2 * start:2 * stop])
         out *= f
         return out
 

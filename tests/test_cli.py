@@ -1,6 +1,7 @@
 """Tests for the file formats and the command-line front end."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -414,15 +415,22 @@ class TestCliEstimators:
         assert summary["passes"] is True
 
     def test_covering_exponent(self, tmp_path):
-        out = str(tmp_path / "c.csv")
-        code, text = run_cli(
-            ["levelset-dim", "--what", "covering", "--hurst", "0.5,0.5",
-             "--points", "256", "--scales", "1,2,3", "--out", out]
-        )
-        assert code == 0
-        summary = json.loads(text)
-        assert summary["slope"] == pytest.approx(4.0, abs=1e-9)
-        assert summary["passes"] is True
+        # the CSV holds one integer count per scale, in ascending scale order,
+        # whatever order the scales were given in
+        for scales in ("1,2,3", "3,1,2"):
+            out = str(tmp_path / "c.csv")
+            code, text = run_cli(
+                ["levelset-dim", "--what", "covering", "--hurst", "0.5,0.5",
+                 "--points", "256", "--scales", scales, "--out", out]
+            )
+            assert code == 0
+            summary = json.loads(text)
+            assert summary["slope"] == pytest.approx(4.0, abs=1e-9)
+            assert summary["passes"] is True
+            with open(out, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [(r["scale"], r["box_count"]) for r in rows] == [
+                ("1", "16"), ("2", "256"), ("3", "4096")]
 
     def test_ecf_check_variance_route(self, tmp_path):
         out = str(tmp_path / "e.csv")
@@ -597,6 +605,16 @@ class TestCliContract:
         "covering-repeated-scales": (
             ["levelset-dim", "--what", "covering", "--hurst", "0.5,0.5",
              "--scales", "2,2,3", "--out", "{tmp}/d.csv"],
+            None,
+        ),
+        "covering-scale-fitted-twice": (
+            ["levelset-dim", "--what", "covering", "--hurst", "0.5,0.5",
+             "--points", "64", "--scales", "2,2,3,4", "--out", "{tmp}/d.csv"],
+            None,
+        ),
+        "level-set-scale-fitted-twice": (
+            ["levelset-dim", "--in", "{field}", "--level", "0",
+             "--scales", "2,2,3,4", "--out", "{tmp}/d.csv"],
             None,
         ),
     }

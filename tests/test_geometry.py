@@ -283,6 +283,9 @@ class TestBoxCountDimension:
             ge.box_count_dimension(pts, ((0, 1), (0, 1)), "euclidean", (1, 2))
         with pytest.raises(ValueError, match="distinct"):
             ge.box_count_dimension(pts, ((0, 1), (0, 1)), "euclidean", (2, 2, 3))
+        # three distinct scales, but one of them would be fitted twice
+        with pytest.raises(ValueError, match="distinct"):
+            ge.box_count_dimension(pts, ((0, 1), (0, 1)), "euclidean", (2, 2, 3, 4))
         with pytest.raises(ValueError):
             ge.box_count_dimension(
                 np.array([[1.5, 0.5]]), ((0, 1), (0, 1)), "euclidean", (1, 2, 3)

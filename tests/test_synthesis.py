@@ -448,7 +448,7 @@ class TestDeterminism:
         serial = serial_atom_fold(atoms, H, alpha, trunc, field.axes)
         assert field.component(0).tobytes() == serial.tobytes()
 
-    # the synth CLI at alpha = 2, its process pinned to one CPU before the import
+    # the synth CLI, its process pinned to one CPU before the import
     PINNED = (
         "import os, sys\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
@@ -457,19 +457,28 @@ class TestDeterminism:
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
 
+    # alpha = 2 takes the Gaussian route, alpha = 1.5 the atom route, whose
+    # tasks make their own phase tables
+    ROUTES = (
+        ["--alpha", "2.0", "--n", "5", "--M", "1.25", "--grid", "160x128"],
+        ["--alpha", "1.5", "--n", "4", "--M", "1.25", "--grid", "128x128", "--count", "5000"],
+    )
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_synth_bytes_do_not_depend_on_the_affinity_mask(self, tmp_path):
-        argv = ["synth", "--seed", "7", "--alpha", "2.0", "--hurst", "0.5,0.7", "--n", "5",
-                "--M", "1.25", "--grid", "160x128", "--bounds", "0.1,1.1x0.1,1.1"]
-        digests = []
-        for name, prefix in (("pinned", ["-c", self.PINNED]), ("free", ["-m", "stablesheet.cli"])):
-            out = tmp_path / f"{name}.zh"
-            proc = subprocess.run([sys.executable, *prefix, *argv, "--out", str(out)],
-                                  capture_output=True, text=True, env=_subprocess_env(),
-                                  timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-        assert digests[0] == digests[1]
+        for route in self.ROUTES:
+            argv = ["synth", "--seed", "7", "--hurst", "0.5,0.7", "--bounds", "0.1,1.1x0.1,1.1",
+                    *route]
+            digests = []
+            for name, prefix in (("pinned", ["-c", self.PINNED]),
+                                 ("free", ["-m", "stablesheet.cli"])):
+                out = tmp_path / f"{name}.zh"
+                proc = subprocess.run([sys.executable, *prefix, *argv, "--out", str(out)],
+                                      capture_output=True, text=True, env=_subprocess_env(),
+                                      timeout=300)
+                assert proc.returncode == 0, proc.stderr
+                digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+            assert digests[0] == digests[1], route
 
     def test_components_use_independent_streams(self):
         trunc = sy.TruncationDomain(1, 1.0)
