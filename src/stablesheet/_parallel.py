@@ -22,11 +22,8 @@ level's atom columns, or one row of blocks. A task keeps these rules:
   to the peak, so a task's scratch must stay small. On 2 CPUs with one BLAS
   thread, a process that synthesized two 512^2 alpha = 1.5 fields of 20 000
   atoms, one 128^2 alpha = 1.5 field and six more 512^2 fields peaked at
-  130.6-132.1 MB (ru_maxrss, 10 runs) with the atom route's tasks making
-  their own 2.6 MB phase tables and the caller making the axis-1 columns;
-  at 141.0-157.3 MB (5 runs) with the workers making those columns too; and
-  at 143.6-148.0 MB (5 runs) with one caller-made 10.6 MB phase buffer per
-  worker.
+  130.6-132.1 MB (ru_maxrss, 10 runs), with the atom route's tasks making
+  their own 2.6 MB phase tables and the caller making the axis-1 columns.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ directory is populated first and then renamed over the target path.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -64,14 +65,20 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A binary file that replaces ``path`` when the block exits cleanly.
+
+    It is a temporary file in the destination directory, renamed over the
+    target; on any error it is removed and ``path`` is left as it was.
+    """
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise FileNotFoundError(f"parent directory does not exist: {parent}")
     fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", dir=parent)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -79,13 +86,19 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
+
+
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _envelope_bytes(magic: bytes, header: dict, payload: bytes) -> bytes:
+def _envelope_head(magic: bytes, header: dict) -> bytes:
+    # the magic, the header length and the header; the payload follows
     raw = canonical_json(header).encode("utf-8")
-    return magic + struct.pack("<I", len(raw)) + raw + payload
+    return magic + struct.pack("<I", len(raw)) + raw
 
 
 def _parse(path: str, what: str, parse):
@@ -146,7 +159,7 @@ def write_field(field: synthesis.FieldGrid, path: str, run: str | None = None) -
         # bounds/shape lattice
         header["axes"] = [[repr(float(x)) for x in ax] for ax in field.axes]
     values = np.ascontiguousarray(field.values, dtype="<f8")
-    atomic_write_bytes(path, _envelope_bytes(FIELD_MAGIC, header, values.tobytes()))
+    atomic_write_bytes(path, _envelope_head(FIELD_MAGIC, header) + values.tobytes())
 
 
 def read_field(path: str) -> synthesis.FieldGrid:
@@ -191,12 +204,11 @@ def write_coefficients(
     hurst=None,
     run: str | None = None,
 ) -> dict:
-    """Write the truncated coefficient tensor in lexicographic (J, K) order."""
-    chunks = []
-    j_list = []
-    for j1, j2, block in lepage.coefficient_blocks(atoms, alpha, n, M):
-        j_list.append([j1, j2])
-        chunks.append(np.ascontiguousarray(block, dtype="<c8").tobytes())
+    """Write the truncated coefficient tensor in lexicographic (J, K) order.
+
+    Each block goes to the file as coefficient_blocks yields it, so the
+    tensor is never held in memory.
+    """
     k_cap = synthesis.TruncationDomain(n, M).k_cap
     header = {
         "format_version": FORMAT_VERSION,
@@ -207,12 +219,15 @@ def write_coefficients(
         "H": list(hurst) if hurst is not None else None,
         "count": int(atoms.count),
         "k_cap": int(k_cap),
-        "blocks": j_list,
+        "blocks": [list(pair) for pair in lepage.scale_pairs(atoms, alpha, n)],
         "version": synthesis.VERSION,
     }
     if run is not None:
         header["run"] = run
-    atomic_write_bytes(path, _envelope_bytes(COEFF_MAGIC, header, b"".join(chunks)))
+    with _atomic_file(path) as fh:
+        fh.write(_envelope_head(COEFF_MAGIC, header))
+        for _, _, block in lepage.coefficient_blocks(atoms, alpha, n, M):
+            fh.write(np.ascontiguousarray(block, dtype="<c8"))
     return header
 
 
@@ -276,25 +291,23 @@ class RunManifest:
     output_digests: dict = dc_field(default_factory=dict)
     wall_clock_seconds: float = 0.0
 
-    def digest(self) -> str:
-        core = {
+    def _identity(self) -> dict:
+        return {
             "subcommand": self.subcommand,
             "seeds": list(self.seeds),
             "parameters": self.parameters,
             "version": self.version,
             "input_digests": self.input_digests,
         }
-        return sha256_hex(canonical_json(core).encode("utf-8"))
+
+    def digest(self) -> str:
+        return sha256_hex(canonical_json(self._identity()).encode("utf-8"))
 
     def write(self, path: str) -> str:
         digest = self.digest()
         record = {
-            "subcommand": self.subcommand,
+            **self._identity(),
             "command": list(self.command),
-            "seeds": list(self.seeds),
-            "parameters": self.parameters,
-            "version": self.version,
-            "input_digests": self.input_digests,
             "output_digests": self.output_digests,
             "manifest_digest": digest,
             "wall_clock_seconds": self.wall_clock_seconds,

@@ -327,13 +327,16 @@ def m_sin_alpha(alpha: float) -> float:
     return float(gamma((alpha + 1.0) / 2.0) / (np.sqrt(np.pi) * gamma(alpha / 2.0 + 1.0)))
 
 
+_KAPPA_PERIODS = 250  # half-periods of kappa's panels; 500 agrees to 1e-10
+
+
 @lru_cache(maxsize=256)
-def kappa(alpha: float, v: float, periods: int = 250) -> float:
+def kappa(alpha: float, v: float) -> float:
     """One-axis scale integral: int over R of |e^{i lam} - 1|^alpha |lam|^(-alpha v - 1).
 
     Reduced via |e^{i lam} - 1| = 2 |sin(lam/2)| to an integral of
     |sin u|^alpha u^(-beta-1): Gauss-Jacobi absorbs the u^(alpha-beta-1)
-    endpoint singularity, fixed panels cover `periods` half-periods, and the
+    endpoint singularity, fixed panels cover _KAPPA_PERIODS half-periods, and the
     remainder uses the mean of |sin|^alpha plus the first cosine-moment
     correction. Relative accuracy is ~1e-10 over the admissible range.
     """
@@ -348,15 +351,15 @@ def kappa(alpha: float, v: float, periods: int = 250) -> float:
     # [1, pi]
     x, w = gl_nodes(1.0, np.pi, 64)
     total += float(np.sum(w * np.abs(np.sin(x)) ** alpha * x ** (-beta - 1.0)))
-    # half-periods [k pi, (k+1) pi], k = 1 .. periods-1
+    # half-periods [k pi, (k+1) pi], k = 1 .. _KAPPA_PERIODS-1
     xg, wg = gl_nodes(-1.0, 1.0, 32)
-    ks = np.arange(1, periods)
+    ks = np.arange(1, _KAPPA_PERIODS)
     u0 = ks[:, None] * np.pi + 0.5 * np.pi * (xg[None, :] + 1.0)
     w0 = 0.5 * np.pi * wg[None, :]
     total += float(np.sum(w0 * np.abs(np.sin(u0)) ** alpha * u0 ** (-beta - 1.0)))
-    # analytic remainder beyond T = periods * pi; the boundary terms vanish
-    # because sin(2 m T) = 0 and cos(2 m T) = 1 there
-    T = periods * np.pi
+    # analytic remainder beyond T = _KAPPA_PERIODS * pi; the boundary terms
+    # vanish because sin(2 m T) = 0 and cos(2 m T) = 1 there
+    T = _KAPPA_PERIODS * np.pi
     x, w = gl_nodes(0.0, np.pi, 256)
     su = np.sin(x) ** alpha
     ms = np.arange(1, 61)

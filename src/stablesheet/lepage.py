@@ -31,6 +31,7 @@ _COLUMN_CHUNK = 512
 _POINT_CHUNK = 512
 _DRAW_CHUNK = 16384  # coefficients per read of a Gaussian stream: 256 kB of normals
 _PHASE_TABLE_TERMS = 1 << 17  # largest direct_field point table a pool keeps: 1 MB of floats
+_THETA = 0.5  # the tail exponent of sample_atoms' frequency density
 
 
 @dataclass(frozen=True)
@@ -64,39 +65,34 @@ class LePageAtoms:
         # phi_density at every frequency point, computed once per pool
         return np.asarray(phi_density(self.points, self.theta))
 
-    @property
-    def density_spec(self) -> dict:
-        return {"family": "product-symmetric-pareto", "theta": self.theta}
 
-
-def sample_atoms(seed: int, count: int, N: int, theta: float = 0.5) -> LePageAtoms:
+def sample_atoms(seed: int, count: int, N: int) -> LePageAtoms:
     """Draw one atom pool: Poisson arrival times, frequency points with product
-    density (theta/2)^N prod (1+|x_l|)^(-1-theta), and uniform unit phases."""
-    count, N, theta = int(count), int(N), float(theta)
+    density (theta/2)^N prod (1+|x_l|)^(-1-theta) at theta = _THETA, and
+    uniform unit phases."""
+    count, N = int(count), int(N)
     if count < 1:
         raise ValueError("count must be at least 1")
     if N < 1:
         raise ValueError("dimension must be at least 1")
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
     rng = stream(seed, "atoms")
     gammas = np.cumsum(rng.exponential(1.0, count))
     w = 2.0 * rng.random((count, N)) - 1.0
     # inverse CDF per axis; the max() guards the measure-zero draw w = -1
     base = np.maximum(1.0 - np.abs(w), 2.0**-53)
-    points = np.sign(w) * (base ** (-1.0 / theta) - 1.0)
+    points = np.sign(w) * (base ** (-1.0 / _THETA) - 1.0)
     rotations = np.exp(1j * rng.uniform(0.0, TAU, count))
     return LePageAtoms(
         seed=int(seed),
         count=count,
-        theta=theta,
+        theta=_THETA,
         gammas=gammas,
         points=points,
         rotations=rotations,
     )
 
 
-def phi_density(points: object, theta: float = 0.5) -> object:
+def phi_density(points: object, theta: float = _THETA) -> object:
     """Importance density: product over axes of (theta/2)(1+|x|)^(-1-theta)."""
     theta = float(theta)
     arr = np.asarray(points, dtype=float)
@@ -158,17 +154,6 @@ def atom_weights(atoms: LePageAtoms, alpha: float) -> np.ndarray:
     return k * atoms.gammas ** (-1.0 / alpha) * dens ** (-1.0 / alpha) * atoms.rotations
 
 
-def series_tail_bound(atoms: LePageAtoms, alpha: float) -> float:
-    """Heuristic magnitude of the first omitted series term (diagnostic only)."""
-    if float(alpha) == 2.0:
-        return 0.0
-    dens = atoms._density
-    k = stable_multiplier(alpha)
-    return float(
-        k * atoms.gammas[-1] ** (-1.0 / alpha) * np.max(dens ** (-1.0 / alpha))
-    )
-
-
 # --- truncation-independent ordering of the coefficient lattice ---------------
 #
 # At alpha = 2 every coefficient block is read as a prefix of one Gaussian
@@ -176,20 +161,6 @@ def series_tail_bound(atoms: LePageAtoms, alpha: float) -> float:
 # fixed (J, K) therefore has the same value no matter which truncation level
 # asked for it, which is what makes successive truncations nested partial sums
 # of a single field.
-
-
-def _ring_rank_scalar(k1: int, k2: int) -> int:
-    r = max(abs(k1), abs(k2))
-    if r == 0:
-        return 0
-    base = (2 * r - 1) ** 2
-    if k1 == -r:
-        off = k2 + r
-    elif k1 == r:
-        off = 6 * r - 1 + (k2 + r)
-    else:
-        off = 2 * r + 1 + 2 * (k1 + r - 1) + (1 if k2 == r else 0)
-    return base + off
 
 
 @lru_cache(maxsize=32)
@@ -277,8 +248,9 @@ def coefficient(atoms: LePageAtoms, J: object, K: object, alpha: float) -> compl
     """One random wavelet coefficient from the shared atoms.
 
     alpha < 2: exact-rounded (order-independent) LePage sum over all atoms.
-    alpha = 2: read from the ring-ordered Gaussian stream of the scale pair,
-    so the value agrees bitwise with the block route at any truncation.
+    alpha = 2: read from the smallest Gaussian block that holds K, so the
+    value agrees bitwise with the block route at any truncation. The Gaussian
+    blocks are two-dimensional.
     """
     alpha = float(alpha)
     J_arr = [int(j) for j in np.atleast_1d(np.asarray(J, dtype=int))]
@@ -286,17 +258,10 @@ def coefficient(atoms: LePageAtoms, J: object, K: object, alpha: float) -> compl
     if len(J_arr) != atoms.dimension or len(K_arr) != atoms.dimension:
         raise ValueError("J and K must have one entry per dimension")
     if alpha == 2.0:
-        if atoms.dimension == 1:
-            rng = stream(atoms.seed, "coeff", J_arr[0])
-            k = K_arr[0]
-            idx = 0 if k == 0 else 2 * abs(k) - 1 + (1 if k > 0 else 0)
-        elif atoms.dimension == 2:
-            rng = stream(atoms.seed, "coeff", J_arr[0], J_arr[1])
-            idx = _ring_rank_scalar(K_arr[0], K_arr[1])
-        else:
-            raise ValueError("Gaussian coefficients support one or two dimensions")
-        draws = rng.normal(0.0, _GAUSS_COEFF_STD, (idx + 1, 2))
-        return complex(draws[idx, 0], draws[idx, 1])
+        if atoms.dimension != 2:
+            raise ValueError("Gaussian coefficients are two-dimensional")
+        (k1, k2), cap = K_arr, max(abs(k) for k in K_arr)
+        return complex(_gaussian_block(atoms.seed, *J_arr, cap)[k1 + cap, k2 + cap])
     weights = atom_weights(atoms, alpha)
     prod = np.ones(atoms.count, dtype=complex)
     for axis, (j, k) in enumerate(zip(J_arr, K_arr)):
@@ -367,21 +332,25 @@ def _scale_window(atoms: LePageAtoms, n: int, gaussian: bool) -> tuple:
     ]
 
 
-def occupied_scale_pairs(atoms: LePageAtoms, n: int) -> list:
-    """Scale pairs (j1, j2) with j1, j2 <= n at which some atom's envelope is
-    nonzero on both axes, in lexicographic order. These are the nonzero blocks
-    of the atom route."""
-    return _scale_window(atoms, int(n), gaussian=False)[1]
-
-
-def _route(atoms: LePageAtoms, alpha: float, n: int, M: float, mode: str) -> tuple:
-    # The choice of coefficient law for both block sources: iid Gaussian at
-    # alpha = 2 in mode "auto", LePage atom sums otherwise. Returns
-    # (k_cap, held, pairs), the last two from the law's _scale_window
+def _route(atoms: LePageAtoms, alpha: float, n: int, mode: str) -> tuple:
+    # The choice of coefficient law for every block consumer: iid Gaussian at
+    # alpha = 2 in mode "auto", LePage atom sums otherwise. Returns (held,
+    # pairs), the law's _scale_window
     if mode not in ("auto", "atoms"):
         raise ValueError(f"unknown mode {mode!r}")
-    k_cap = translation_cap(int(n), float(M))
-    return k_cap, *_scale_window(atoms, int(n), float(alpha) == 2.0 and mode == "auto")
+    if int(n) < 0:
+        raise ValueError("the series window needs n >= 0")
+    return _scale_window(atoms, int(n), float(alpha) == 2.0 and mode == "auto")
+
+
+def scale_pairs(atoms: LePageAtoms, alpha: float, n: int, mode: str = "auto") -> list:
+    """The scale pairs (j1, j2) that coefficient_blocks(atoms, alpha, n, M, mode)
+    yields, in its order, for any M.
+
+    On the atom route these are the pairs at which some atom's envelope is
+    nonzero on both axes; every other block is exactly zero.
+    """
+    return _route(atoms, alpha, n, mode)[1]
 
 
 def coefficient_blocks(
@@ -399,10 +368,11 @@ def coefficient_blocks(
     coarsest_levels(atoms, n) up to n, with no cut at -n: a block holds only the
     atoms whose envelope is nonzero at that scale, so every coarser block is
     exactly zero and the coarse sum is finite. Only the occupied pairs, those
-    of occupied_scale_pairs(atoms, n), are yielded.
+    of scale_pairs(atoms, alpha, n, mode), are yielded.
     """
     alpha = float(alpha)
-    k_cap, held, pairs = _route(atoms, alpha, n, M, mode)
+    k_cap = translation_cap(int(n), float(M))
+    held, pairs = _route(atoms, alpha, n, mode)
     if held is None:
         for j1, j2 in pairs:
             yield j1, j2, _gaussian_block(atoms.seed, j1, j2, k_cap)
@@ -427,7 +397,8 @@ def projected_blocks(
     and every factor is computed here first, on the calling thread.
     """
     alpha = float(alpha)
-    k_cap, held, pairs = _route(atoms, alpha, n, M, mode)
+    k_cap = translation_cap(int(n), float(M))
+    held, pairs = _route(atoms, alpha, n, mode)
     factors = [{j: factor(axis, j) for j in sorted({p[axis] for p in pairs})} for axis in (0, 1)]
     if held is None:
         return _projected_gaussian_blocks(atoms.seed, pairs, k_cap, factors)
@@ -477,8 +448,9 @@ def _projected_atom_blocks(
     partners = {}
     for j1, j2 in pairs:
         partners.setdefault(j1, []).append(j2)
-    # Made here: every axis-1 column array, which outlives its task. Made by
-    # the workers, they raised a process's peak RSS by 8% or more (see _parallel)
+    # Made here: every axis-1 column array, which outlives its task (the memory
+    # rule in _parallel). Made by the workers, they raised a process's peak RSS
+    # by 8% or more
     cols2 = {j: np.empty((a.shape[1], env.size), dtype=complex)
              for j, (_, env, a) in tasks[1].items()}
 
@@ -581,7 +553,9 @@ def direct_field(atoms: LePageAtoms, t: object, H: object, alpha: float) -> obje
 
     Each term is Re(g_a prod_l (e^{i t_l lambda_al} - 1)) times a real, alpha-
     dependent magnitude. The pool keeps the first factor for its most recent
-    point set, so another alpha at the same points costs one exp per atom.
+    point set, so another alpha at the same points costs one exp per atom. The
+    sum over atoms runs on one BLAS thread, so its bytes do not depend on the
+    BLAS thread count.
     """
     alpha = float(alpha)
     H_arr = _check_field_args(atoms, H, alpha)
@@ -592,9 +566,10 @@ def direct_field(atoms: LePageAtoms, t: object, H: object, alpha: float) -> obje
         raise ValueError("points must have shape (m, N) or (N,)")
     scales = _atom_scales(atoms, H_arr, alpha)
     acc = np.empty(pts.shape[0])
-    for p0 in range(0, pts.shape[0], _POINT_CHUNK):
-        rows = slice(p0, p0 + _POINT_CHUNK)
-        acc[rows] = _phase_table(atoms, pts[rows]) @ scales
+    with _blas.one_thread():
+        for p0 in range(0, pts.shape[0], _POINT_CHUNK):
+            rows = slice(p0, p0 + _POINT_CHUNK)
+            acc[rows] = _phase_table(atoms, pts[rows]) @ scales
     return float(acc[0]) if single else acc
 
 
@@ -634,34 +609,41 @@ def coefficient_growth_report(
     the normalized max at a reference truncation (level 4, or n if smaller)
     against level n: a stable bound grows by less than 10%. The eta = 0
     variant is recorded for contrast but never asserted on.
+
+    One pass over the level-n blocks gives both truncations: the series is
+    nested, so the reference blocks are the centred |k| <= k_cap(reference)
+    sub-blocks of the level-n blocks at the reference window's pairs. On the
+    atom route their phases round apart from those of a pass of their own, by
+    up to about 3e-14 of a block's largest magnitude.
     """
     alpha, eta, M = float(alpha), float(eta), float(M)
     n = int(n)
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-
-    def normalized_maxima(level: int) -> tuple:
-        # the normalized max at eta and at eta = 0, in one pass over the blocks
-        k_cap = translation_cap(level, M)
-        ks = np.arange(-k_cap, k_cap + 1)
-        if alpha >= 1.0:
-            k_fac = np.sqrt(np.log(2.0 + np.abs(ks)))
-            denom_k = np.outer(k_fac, k_fac)
-        else:
-            denom_k = np.ones((ks.size, ks.size))
-        best = [0.0, 0.0]
-        for j1, j2, block in coefficient_blocks(atoms, alpha, level, M):
-            mags = np.abs(block)
-            for i, eta_val in enumerate((eta, 0.0)):
-                scale = ((1.0 + abs(j1)) * (1.0 + abs(j2))) ** (1.0 / alpha + eta_val)
-                if alpha >= 1.0:
-                    scale *= math.sqrt(math.log(2.0 + abs(j1)) * math.log(2.0 + abs(j2)))
-                best[i] = max(best[i], float(np.max(mags / (scale * denom_k))))
-        return tuple(best)
-
     reference = min(4, n)
-    top_max, top_zero = normalized_maxima(n)
-    ref_max = top_max if n == reference else normalized_maxima(reference)[0]
+    k_cap = translation_cap(n, M)
+    ref_pairs = set(scale_pairs(atoms, alpha, reference))
+    ref_cap = translation_cap(reference, M)
+    centre = slice(k_cap - ref_cap, k_cap + ref_cap + 1)
+    ks = np.arange(-k_cap, k_cap + 1)
+    if alpha >= 1.0:
+        k_fac = np.sqrt(np.log(2.0 + np.abs(ks)))
+        denom_k = np.outer(k_fac, k_fac)
+    else:
+        denom_k = np.ones((ks.size, ks.size))
+    top_max = top_zero = ref_max = 0.0
+    for j1, j2, block in coefficient_blocks(atoms, alpha, n, M):
+        mags = np.abs(block)
+        normalized = []
+        for eta_val in (eta, 0.0):
+            scale = ((1.0 + abs(j1)) * (1.0 + abs(j2))) ** (1.0 / alpha + eta_val)
+            if alpha >= 1.0:
+                scale *= math.sqrt(math.log(2.0 + abs(j1)) * math.log(2.0 + abs(j2)))
+            normalized.append(mags / (scale * denom_k))
+        top_max = max(top_max, float(np.max(normalized[0])))
+        top_zero = max(top_zero, float(np.max(normalized[1])))
+        if (j1, j2) in ref_pairs:
+            ref_max = max(ref_max, float(np.max(normalized[0][centre, centre])))
     ratio = top_max / ref_max if ref_max > 0 else math.inf
     return {
         "alpha": alpha,

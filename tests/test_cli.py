@@ -188,7 +188,7 @@ class TestFieldFormat:
             fieldio.read_field(path)
 
     def test_coefficient_roundtrip(self, tmp_path):
-        atoms = lepage.sample_atoms(3, 40, 2, 1.5)
+        atoms = lepage.sample_atoms(3, 40, 2)
         path = str(tmp_path / "c.bin")
         fieldio.write_coefficients(atoms, 1.5, 1, 1.0, path, hurst=(0.5, 0.7))
         header, blocks = fieldio.read_coefficients(path)
@@ -286,6 +286,28 @@ class TestCliCoeffs:
         assert set(blocks) == set(ref)
         for key, block in ref.items():
             assert np.array_equal(blocks[key], block.astype(np.complex64))
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # the blocks go to a temporary file as they are made; an error after
+        # two of them removes it and leaves the target as it was
+        blocks = lepage.coefficient_blocks
+
+        def failing(*args, **kwargs):
+            for i, item in enumerate(blocks(*args, **kwargs)):
+                if i == 2:
+                    raise RuntimeError("block failed")
+                yield item
+
+        monkeypatch.setattr(lepage, "coefficient_blocks", failing)
+        atoms = lepage.sample_atoms(3, 400, 2)
+        path = tmp_path / "c.bin"
+        with pytest.raises(RuntimeError, match="block failed"):
+            fieldio.write_coefficients(atoms, 1.5, 2, 1.0, str(path))
+        assert os.listdir(tmp_path) == []
+        path.write_bytes(b"kept")
+        with pytest.raises(RuntimeError, match="block failed"):
+            fieldio.write_coefficients(atoms, 1.5, 2, 1.0, str(path))
+        assert os.listdir(tmp_path) == ["c.bin"] and path.read_bytes() == b"kept"
 
 
 class TestCliTables:

@@ -186,10 +186,11 @@ class TestKappa:
             closed = -4.0 * float(gamma(-2.0 * v)) * math.cos(math.pi * v)
             assert fk.kappa(2.0, v) == pytest.approx(closed, rel=1e-10)
 
-    def test_period_refinement_stable(self):
-        a = fk.kappa.__wrapped__(1.5, 0.7, periods=250)
-        b = fk.kappa.__wrapped__(1.5, 0.7, periods=500)
-        assert a == pytest.approx(b, rel=1e-10)
+    def test_period_refinement_stable(self, monkeypatch):
+        a = fk.kappa.__wrapped__(1.5, 0.7)
+        monkeypatch.setattr(fk, "_KAPPA_PERIODS", 2 * fk._KAPPA_PERIODS)
+        b = fk.kappa.__wrapped__(1.5, 0.7)
+        assert a != b and a == pytest.approx(b, rel=1e-10)
 
     def test_mean_abs_sin_power(self):
         assert fk.m_sin_alpha(2.0) == pytest.approx(0.5, abs=1e-12)

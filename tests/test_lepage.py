@@ -35,8 +35,6 @@ class TestSampleAtoms:
             lp.sample_atoms(1, 0, 2)
         with pytest.raises(ValueError):
             lp.sample_atoms(1, 10, 0)
-        with pytest.raises(ValueError):
-            lp.sample_atoms(1, 10, 2, theta=0.0)
 
     def test_arrival_increments_have_unit_mean(self):
         a = lp.sample_atoms(2024, 20000, 2)
@@ -55,7 +53,8 @@ class TestSampleAtoms:
 
     def test_frequency_magnitudes_follow_pareto_law(self):
         # |V| per axis has CDF 1 - (1+x)^(-theta) under the inverse transform
-        a = lp.sample_atoms(2024, 20000, 2, theta=0.5)
+        a = lp.sample_atoms(2024, 20000, 2)
+        assert a.theta == 0.5
         for axis in range(2):
             ks = stats.kstest(
                 np.abs(a.points[:, axis]), lambda x: 1.0 - (1.0 + x) ** -0.5
@@ -66,10 +65,6 @@ class TestSampleAtoms:
         a = lp.sample_atoms(5, 100, 2)
         expected = np.sqrt(np.diff(a.gammas, prepend=0.0))
         assert np.array_equal(a.amplitudes, expected)
-
-    def test_density_spec_records_family_and_theta(self):
-        a = lp.sample_atoms(5, 10, 2, theta=0.5)
-        assert a.density_spec == {"family": "product-symmetric-pareto", "theta": 0.5}
 
 
 class TestPhiDensity:
@@ -147,26 +142,12 @@ class TestAtomWeights:
             with pytest.raises(ValueError):
                 lp.atom_weights(a, alpha)
 
-    def test_tail_bound_diagnostic(self):
-        a = lp.sample_atoms(19, 2000, 2)
-        assert lp.series_tail_bound(a, 2.0) == 0.0
-        bound = lp.series_tail_bound(a, 1.5)
-        assert np.isfinite(bound) and bound > 0.0
-
 
 class TestRingOrder:
     def test_rank_is_a_bijection_on_every_cap(self):
         for cap in (1, 2, 3, 5):
             lattice = lp._ring_rank_lattice(cap)
             assert sorted(lattice.ravel().tolist()) == list(range((2 * cap + 1) ** 2))
-
-    def test_scalar_rank_matches_lattice(self):
-        for cap in (1, 3):
-            lattice = lp._ring_rank_lattice(cap)
-            ks = range(-cap, cap + 1)
-            for i, k1 in enumerate(ks):
-                for j, k2 in enumerate(ks):
-                    assert lp._ring_rank_scalar(k1, k2) == lattice[i, j]
 
     def test_rank_respects_ring_containment(self):
         # every index on ring r appears before any index on ring r+1
@@ -241,7 +222,7 @@ class TestCoefficient:
         k_cap = 160
         ks = np.arange(-k_cap, k_cap + 1)
         weights = lp.atom_weights(a, 1.5)
-        occupied = lp.occupied_scale_pairs(a, 6)
+        occupied = lp.scale_pairs(a, 1.5, 6)
         for j1, j2 in ((-12, -3), (6, -3), (-3, 6)):
             assert (j1, j2) in occupied
             block = held_block(a, weights, 1.5, j1, j2, ks)
@@ -273,13 +254,12 @@ class TestCoefficient:
         assert val == blocks_small[(1, -1)][2 + cap_small, 3 + cap_small]
         assert val == blocks_large[(1, -1)][2 + cap_large, 3 + cap_large]
 
-    def test_one_dimensional_gaussian_prefix_layout(self):
+    def test_one_dimensional_gaussian_coefficient_is_refused(self):
+        # the Gaussian blocks, and so their ring order, are two-dimensional
         a = lp.sample_atoms(11, 1, 1)
-        draws = stream(11, "coeff", 3).normal(0.0, math.sqrt(2.0), (5, 2))
-        expected = {0: 0, -1: 1, 1: 2, -2: 3, 2: 4}
-        for k, idx in expected.items():
-            got = lp.coefficient(a, (3,), (k,), 2.0)
-            assert got == complex(draws[idx, 0], draws[idx, 1])
+        with pytest.raises(ValueError, match="two-dimensional"):
+            lp.coefficient(a, (3,), (1,), 2.0)
+        assert np.isfinite(lp.coefficient(a, (3,), (1,), 1.5))
 
     def test_gaussian_coefficient_variance(self):
         vals = np.empty(4000, dtype=complex)
@@ -340,7 +320,7 @@ class TestHeldLevels:
     def test_atom_route_window_starts_at_the_coarsest_levels(self):
         atoms = lp.sample_atoms(3, 20000, 2)
         assert lp.coarsest_levels(atoms, 2) == (-13, -19)
-        pairs = lp.occupied_scale_pairs(atoms, 2)
+        pairs = lp.scale_pairs(atoms, 1.5, 2)
         assert min(j1 for j1, _ in pairs) == -13 and max(j1 for j1, _ in pairs) <= 2
         assert min(j2 for _, j2 in pairs) == -19 and max(j2 for _, j2 in pairs) <= 2
 
@@ -360,6 +340,7 @@ class TestProjectedBlocks:
             projected = lp.projected_blocks(a, alpha, n, M, factor, mode)
         blocks = list(lp.coefficient_blocks(a, alpha, n, M, mode))
         assert [(j1, j2) for j1, j2, _ in projected] == [(j1, j2) for j1, j2, _ in blocks]
+        assert lp.scale_pairs(a, alpha, n, mode) == [(j1, j2) for j1, j2, _ in blocks]
         for (j1, j2, z), (_, _, c) in zip(projected, blocks):
             want = factor(0, j1).T @ np.real(c) @ factor(1, j2)
             assert np.allclose(z, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
@@ -525,6 +506,34 @@ class TestGrowthReport:
         a = lp.sample_atoms(33, 1000, 2)
         rep = lp.coefficient_growth_report(a, 2, 1.0, 0.8, 0.1)
         assert np.isfinite(rep["max_at_n"]) and rep["max_at_n"] > 0.0
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5, 2.0])
+    def test_one_pass_gives_both_truncations(self, alpha, monkeypatch):
+        a = lp.sample_atoms(31, 2000, 2)
+        n, M, eta = 5, 1.0, 0.1
+        passes = []
+        blocks = lp.coefficient_blocks
+        monkeypatch.setattr(lp, "coefficient_blocks",
+                            lambda *args: passes.append(args[2]) or blocks(*args))
+        rep = lp.coefficient_growth_report(a, n, M, alpha, eta)
+        assert passes == [n]
+        # each truncation's maximum from a pass over its own blocks
+        want = {}
+        for level in (4, n):
+            ks = np.arange(-lp.translation_cap(level, M), lp.translation_cap(level, M) + 1)
+            k_fac = np.sqrt(np.log(2.0 + np.abs(ks))) if alpha >= 1.0 else np.ones(ks.size)
+            best = 0.0
+            for j1, j2, block in blocks(a, alpha, level, M):
+                scale = ((1.0 + abs(j1)) * (1.0 + abs(j2))) ** (1.0 / alpha + eta)
+                if alpha >= 1.0:
+                    scale *= math.sqrt(math.log(2.0 + abs(j1)) * math.log(2.0 + abs(j2)))
+                best = max(best, float(np.max(np.abs(block) / (scale * np.outer(k_fac, k_fac)))))
+            want[level] = best
+        assert rep["max_at_n"] == want[n]
+        if alpha == 2.0:
+            assert rep["max_at_reference"] == want[4]
+        else:
+            assert rep["max_at_reference"] == pytest.approx(want[4], rel=1e-14, abs=0.0)
 
     def test_rejects_nonpositive_eta(self):
         a = lp.sample_atoms(1, 10, 2)

@@ -344,6 +344,22 @@ class TestDeterminism:
         for name in argvs:
             assert digests[name, "1"] == digests[name, "2"]
 
+    def test_ecf_check_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # direct kernel sums over 50 pools of 20 000 atoms
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"ecf-{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "stablesheet.cli", "ecf-check", "--seed", "5",
+                 "--alpha", "2", "--hurst", "0.5,0.7", "--t", "1,1", "--samples", "50",
+                 "--out", str(out)],
+                capture_output=True, text=True, timeout=300,
+                env=dict(_subprocess_env(), OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+
     # a fresh interpreter: scipy's OpenBLAS loads between two one_thread blocks
     LATE_BLAS = (
         "import ctypes, json\n"
